@@ -17,11 +17,12 @@ Two sound (not complete) provers:
   of some principal k x k block (k >= 2) lies in the real span of those
   constraint functionals, every feasible Hermitian M has a scalar block
   there; a scalar block of a rank-one PSD matrix is zero, so no family of
-  rank-one elements can sum to the identity.  Membership is checked by
-  least squares with recorded residuals.
+  rank-one elements can sum to the identity.  Membership residuals are
+  distances from the row space of the constraint matrix, read off one thin
+  SVD by projection.
 
-verify_certificate re-derives everything from the set, so certificates are
-independently checkable artifacts.
+verify_certificate re-derives everything from the set by least squares, so
+certificates are independently checkable artifacts.
 """
 from __future__ import annotations
 
@@ -148,16 +149,6 @@ def hermitian_coords(M: np.ndarray) -> np.ndarray:
     return x
 
 
-def coords_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    M = np.zeros((d, d), dtype=np.complex128)
-    iu, ju = np.triu_indices(d, k=1)
-    M[np.arange(d), np.arange(d)] = x[:d]
-    off = (x[d::2] + 1j * x[d + 1 :: 2]) / _SQRT2
-    M[iu, ju] = off
-    M[ju, iu] = np.conj(off)
-    return M
-
-
 def _functional_coords(G: np.ndarray) -> np.ndarray:
     """Coordinates of the functional M -> Tr(G M): entry k is Tr(G B_k)."""
     d = G.shape[0]
@@ -186,32 +177,33 @@ def constraint_matrix(s: UnitarySet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeasibleSubspace:
-    """Orthonormal Hermitian basis of S = {M : Tr(U_i M U_j^dag) = 0, i != j}."""
+    """S = {M Hermitian : Tr(U_i M U_j^dag) = 0, i != j}, held by its complement.
+
+    row_basis has orthonormal rows spanning the row space of the constraint
+    matrix; S is their orthogonal complement in Hermitian coordinates, so a
+    functional is forced on S exactly when it lies in that row space.
+    """
 
     d: int
     unitaries: UnitarySet
-    basis: tuple
+    row_basis: np.ndarray
     constraint_rank: int
-    constraint_matrix: np.ndarray
 
     def dim(self) -> int:
-        return len(self.basis)
+        return self.d * self.d - self.constraint_rank
 
 
-def hermitian_feasible_subspace(s: UnitarySet, rank_rtol: float = RANK_RTOL) -> FeasibleSubspace:
-    """Kernel of the pairwise trace constraints on Hermitian matrices.
+def hermitian_feasible_subspace(s: UnitarySet) -> FeasibleSubspace:
+    """Row space of the pairwise trace constraints, from one thin SVD.
 
-    Rank uses a singular-value cutoff relative to the largest singular value;
-    dim(S) = d^2 - rank by construction.
+    Rank uses a singular-value cutoff RANK_RTOL relative to the largest
+    singular value; dim(S) = d^2 - rank by construction.
     """
     if len(s) < 2:
         raise ValueError("feasible subspace needs at least two unitaries")
-    A = constraint_matrix(s)
-    u, sv, vt = np.linalg.svd(A)
-    rank = int(np.sum(sv > rank_rtol * sv[0])) if sv.size else 0
-    kernel = vt[rank:].T  # orthonormal columns spanning ker(A)
-    basis = tuple(coords_to_hermitian(kernel[:, k], s.d) for k in range(kernel.shape[1]))
-    return FeasibleSubspace(s.d, s, basis, rank, A)
+    _, sv, vt = np.linalg.svd(constraint_matrix(s), full_matrices=False)
+    rank = int(np.sum(sv > RANK_RTOL * sv[0]))
+    return FeasibleSubspace(s.d, s, vt[:rank], rank)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +250,12 @@ def traceless_block_functionals(d: int, block_rows) -> list:
 
 @dataclass(frozen=True)
 class BlockCertificate:
-    """Least-squares proof that a principal block is forced scalar.
+    """Proof that a principal block is forced scalar.
 
     forced_functional_residuals[k] is the distance of the k-th traceless
     block functional from the real span of the constraint functionals
-    (ordering per traceless_block_functionals).  Soundness additionally rests
+    (ordering per traceless_block_functionals); the verifier recomputes it
+    by least squares.  Soundness additionally rests
     on the rank-one measurement reduction, recorded here explicitly.
     """
 
@@ -281,6 +274,7 @@ def unitaries_hash(s: UnitarySet) -> str:
 
 
 def _membership_residuals(A: np.ndarray, d: int, rows) -> list:
+    """Least-squares distance of each block functional from the span of A's rows."""
     At = A.T
     residuals = []
     for H in traceless_block_functionals(d, rows):
@@ -290,28 +284,37 @@ def _membership_residuals(A: np.ndarray, d: int, rows) -> list:
     return residuals
 
 
-def block_identity_prover(S: FeasibleSubspace, block_rows, tolerance: float = BLOCK_TOL):
+def _projection_residuals(S: FeasibleSubspace, rows) -> list:
+    """Distance ||h - Q^T Q h|| of each block functional h from the row space Q."""
+    Q = S.row_basis
+    residuals = []
+    for H in traceless_block_functionals(S.d, rows):
+        h = _functional_coords(H).real
+        residuals.append(float(np.linalg.norm(h - Q.T @ (Q @ h))))
+    return residuals
+
+
+def block_identity_prover(S: FeasibleSubspace, block_rows):
     """BlockCertificate if every traceless block functional is forced, else None."""
     rows = _check_block_rows(S.d, block_rows)
-    residuals = _membership_residuals(S.constraint_matrix, S.d, rows)
-    if max(residuals) >= tolerance:
+    residuals = _projection_residuals(S, rows)
+    if max(residuals) >= BLOCK_TOL:
         return None
     return BlockCertificate(
         d=S.d,
         block_rows=rows,
         forced_functional_residuals=tuple(residuals),
-        tolerance=tolerance,
+        tolerance=BLOCK_TOL,
         unitaries_sha256=unitaries_hash(S.unitaries),
     )
 
 
-def scan_blocks(S: FeasibleSubspace, tolerance: float = BLOCK_TOL, max_block_size: int = 2):
-    """First certified block in deterministic lexicographic order, or None."""
-    for size in range(2, max_block_size + 1):
-        for rows in combinations(range(S.d), size):
-            cert = block_identity_prover(S, rows, tolerance)
-            if cert is not None:
-                return cert
+def scan_blocks(S: FeasibleSubspace):
+    """First certified 2-row block in deterministic lexicographic order, or None."""
+    for rows in combinations(range(S.d), 2):
+        cert = block_identity_prover(S, rows)
+        if cert is not None:
+            return cert
     return None
 
 

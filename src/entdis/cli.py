@@ -5,8 +5,11 @@ Exit codes: 0 = computed (any verdict, including unknown/inconclusive),
 1 = verification returned false, 2 = input error.  Reports are written with
 canonical JSON (or CSV for sweep) so identical invocations produce
 byte-identical output; human-readable summaries go to stderr.
-ENTDIS_THREADS caps the search worker count (0 = auto); ENTDIS_BACKEND
-selects the kernel implementation (numba or numpy).
+decide, certify, simulate and sweep share the pipeline stages of
+entdis.search: certify_direction (forced-block residuals are distances
+from the row space of the constraint matrix, by projection) and
+run_protocol.  ENTDIS_BACKEND selects the kernel implementation (numba or
+numpy).
 """
 from __future__ import annotations
 
@@ -16,23 +19,14 @@ import json
 import math
 import sys
 
-from .certify import (
-    certificate_from_dict,
-    certificate_to_dict,
-    constraints_from_set,
-    fourier_cover_prover,
-    hermitian_feasible_subspace,
-    scan_blocks,
-    verify_certificate,
-    verify_certificate_detailed,
-)
+from .certify import certificate_from_dict, certificate_to_dict, verify_certificate_detailed
 from .search import (
     OptimizerConfig,
+    certify_direction,
     decide,
     decision_to_dict,
-    povm_completion,
     povm_identity_residual,
-    simulate_protocol,
+    run_protocol,
     witness_search,
 )
 from .serialize import (
@@ -166,23 +160,12 @@ def _cmd_decide(args) -> int:
     return 0
 
 
-def _certify_one(uset: UnitarySet):
-    if uset.tag is not None:
-        cert = fourier_cover_prover(constraints_from_set(uset.tag, uset.d))
-        if cert is not None and verify_certificate(cert, uset):
-            return cert
-    cert = scan_blocks(hermitian_feasible_subspace(uset))
-    if cert is not None and verify_certificate(cert, uset):
-        return cert
-    return None
-
-
 def _cmd_certify(args) -> int:
     doc, digest = _load_json(args.set_file)
     uset = set_from_dict(doc)
     report = {"tool_version": __version__, "input_sha256": digest, "directions": {}}
     for label, target in (("A_to_B", uset), ("B_to_A", transpose_set(uset))):
-        cert = _certify_one(target)
+        cert = certify_direction(target)
         report["directions"][label] = {
             "found": cert is not None,
             "certificate": None if cert is None else certificate_to_dict(cert),
@@ -211,34 +194,22 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     doc, digest = _load_json(args.set_file)
     uset = set_from_dict(doc)
     cfg = _config(args)
-    search_cfg = cfg if uset.tag is not None else OptimizerConfig(
-        restarts=cfg.restarts,
-        max_iterations=cfg.max_iterations,
-        success_tol=cfg.success_tol,
-        failure_floor=cfg.failure_floor,
-        seed=cfg.seed,
-        stop_at_success=False,
-    )
-    witness, results = witness_search(uset, search_cfg, collect=True)
+    witness, _, povm, rate = run_protocol(uset, cfg, args.trials)
     report = {
         "tool_version": __version__,
         "input_sha256": digest,
         "witness_residual": witness.residual,
         "trials": args.trials,
         "config": cfg.to_dict(),
-        "povm_size": None,
-        "identity_residual": None,
-        "success_rate": None,
+        "povm_size": None if povm is None else len(povm),
+        "identity_residual": None if povm is None else povm_identity_residual(povm, uset.d),
+        "success_rate": rate,
     }
-    if witness.residual < cfg.success_tol:
-        povm = povm_completion(uset, witness, results, success_tol=cfg.success_tol)
-        if povm is not None:
-            report["povm_size"] = len(povm)
-            report["identity_residual"] = povm_identity_residual(povm, uset.d)
-            report["success_rate"] = simulate_protocol(uset, povm, args.trials, cfg.seed)
     _write_output(args.output, canonical_json(report))
     if report["success_rate"] is None:
         print("no complete POVM found; nothing to simulate", file=sys.stderr)
@@ -254,7 +225,7 @@ def _sweep_rows(d_min: int, d_max: int) -> list:
         bound = 3 * s - 1
         half = -(-d // 2) + 2
         uset = theorem1_set(d)
-        found = _certify_one(uset) is not None and _certify_one(transpose_set(uset)) is not None
+        found = all(certify_direction(t) is not None for t in (uset, transpose_set(uset)))
         rows.append((d, bound, half, len(uset), found))
     return rows
 

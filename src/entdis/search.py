@@ -6,8 +6,13 @@ vector alpha has pairwise-orthogonal images {U_i alpha}.  The search
 minimizes the squared violation f(alpha) = sum_{i<j} |<alpha|U_i^dag
 U_j|alpha>|^2 on the unit sphere by random-restart projected gradient
 descent with backtracking line search, plus a Gauss-Newton polish of
-near-zeros.  All randomness derives from (seed, restart index), so results
-are reproducible regardless of worker count.
+near-zeros.  Restarts run one after another, and each is a pure function
+of (seed, restart index), so results are reproducible.
+
+Decision: certify_direction runs the exact provers of entdis.certify (the
+forced-block residuals come from a projection onto the row space of the
+constraint matrix); run_protocol runs search, POVM completion and the
+protocol simulation; decide_direction chains the two.
 
 Conventions: the stored witness alpha lives on the receiving (Bob) side;
 the measuring party's POVM vectors are the conjugates phi = conj(alpha),
@@ -16,8 +21,6 @@ U|conj(phi)> up to normalization.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,8 +53,7 @@ class OptimizerConfig:
     """Random-restart search configuration.
 
     stop_at_success skips remaining restarts once one reaches success_tol;
-    the lowest-index success is returned, so the outcome is independent of
-    worker count.
+    the lowest-index success is returned.
     """
 
     restarts: int = 64
@@ -213,18 +215,6 @@ def _polish(W, Wd, alpha, max_iterations=30):
     return best_a, float(best_f)
 
 
-def _worker_count(restarts: int) -> int:
-    raw = os.environ.get("ENTDIS_THREADS", "").strip()
-    if raw in ("", "0"):
-        workers = os.cpu_count() or 1
-    else:
-        workers = int(raw)
-        if workers < 0:
-            raise ValueError("ENTDIS_THREADS must be >= 0")
-        workers = workers or 1
-    return max(1, min(workers, restarts))
-
-
 def _run_restart(W, Wd, d, cfg, index):
     rng = np.random.default_rng((cfg.seed ^ index) & _SEED_MASK)
     a0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -235,12 +225,11 @@ def _run_restart(W, Wd, d, cfg, index):
 
 
 def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect: bool = False):
-    """Best witness over cfg.restarts independent seeded descents.
+    """Best witness over cfg.restarts independent seeded descents, run in order.
 
     Selection: the lowest-index restart reaching success_tol wins when
     stop_at_success is set (remaining restarts are skipped); otherwise the
-    lowest residual, ties broken by restart index.  ENTDIS_THREADS caps the
-    worker pool (0 or unset = auto); results do not depend on it.
+    lowest residual, ties broken by restart index.
 
     With collect=True also returns the per-restart (residual, alpha) list
     actually evaluated, for POVM harvesting.
@@ -248,32 +237,16 @@ def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect
     cfg = cfg or OptimizerConfig()
     W = pair_operators(s)
     Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
-    workers = _worker_count(cfg.restarts)
 
     results = []
     best_f, best_a = np.inf, None
-    if workers == 1:
-        for r in range(cfg.restarts):
-            f, alpha = _run_restart(W, Wd, s.d, cfg, r)
-            results.append((f, alpha))
-            if f < best_f:
-                best_f, best_a = f, alpha
-            if cfg.stop_at_success and f < cfg.success_tol:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_restart, W, Wd, s.d, cfg, r) for r in range(cfg.restarts)
-            ]
-            for fut in futures:  # submission order keeps the reduction deterministic
-                f, alpha = fut.result()
-                results.append((f, alpha))
-                if f < best_f:
-                    best_f, best_a = f, alpha
-                if cfg.stop_at_success and f < cfg.success_tol:
-                    for rest in futures:
-                        rest.cancel()
-                    break
+    for r in range(cfg.restarts):
+        f, alpha = _run_restart(W, Wd, s.d, cfg, r)
+        results.append((f, alpha))
+        if f < best_f:
+            best_f, best_a = f, alpha
+        if cfg.stop_at_success and f < cfg.success_tol:
+            break
 
     best_a = np.array(best_a)
     best_a.setflags(write=False)
@@ -512,50 +485,66 @@ class Decision:
         return None
 
 
-def decide_direction(s: UnitarySet, cfg: OptimizerConfig | None = None) -> Verdict:
-    """Decide one direction (measuring party = the side the set is written for).
+def certify_direction(s: UnitarySet):
+    """Verified certificate for one direction, or None (inconclusive).
 
-    Pipeline: Fourier-cover prover on Pauli-tagged sets; forced-block scan
-    on the Hermitian feasible subspace; then witness search.  Distinguishable
-    is declared only with a witness below success_tol AND a completed POVM
-    (a lone witness is necessary but not sufficient in general), in which
-    case the protocol is simulated for the report.
+    Fourier-cover prover on Pauli-tagged sets, then the forced-block scan;
+    a certificate counts only once verify_certificate re-derives it.
     """
-    cfg = cfg or OptimizerConfig()
     if s.tag is not None:
         cert = fourier_cover_prover(constraints_from_set(s.tag, s.d))
         if cert is not None and verify_certificate(cert, s):
-            return Verdict("indistinguishable", certificate=cert)
+            return cert
     cert = scan_blocks(hermitian_feasible_subspace(s))
     if cert is not None and verify_certificate(cert, s):
-        return Verdict("indistinguishable", certificate=cert)
+        return cert
+    return None
 
-    # untagged sets need the full harvest for NNLS completion
+
+def run_protocol(s: UnitarySet, cfg: OptimizerConfig, trials: int = SIMULATION_TRIALS):
+    """Witness search, POVM completion and, if completion succeeds, simulation.
+
+    Returns (witness, restarts used, POVM or None, simulated success rate or
+    None).  Untagged sets run every restart: NNLS completion pools the whole
+    harvest.
+    """
     search_cfg = cfg if s.tag is not None else replace(cfg, stop_at_success=False)
     witness, harvest = witness_search(s, search_cfg, collect=True)
-    used = len(harvest)
+    povm = rate = None
     if witness.residual < cfg.success_tol:
         povm = povm_completion(s, witness, harvest, success_tol=cfg.success_tol)
         if povm is not None:
-            rate = simulate_protocol(s, povm, SIMULATION_TRIALS, cfg.seed)
-            return Verdict(
-                "distinguishable",
-                witness=witness,
-                povm_size=len(povm),
-                simulated_success=rate,
-                best_residual=witness.residual,
-                restarts_used=used,
-            )
+            rate = simulate_protocol(s, povm, trials, cfg.seed)
+    return witness, len(harvest), povm, rate
+
+
+def decide_direction(s: UnitarySet, cfg: OptimizerConfig | None = None) -> Verdict:
+    """Decide one direction (measuring party = the side the set is written for).
+
+    Pipeline: certify_direction, then run_protocol.  Distinguishable is
+    declared only with a witness below success_tol AND a completed POVM (a
+    lone witness is necessary but not sufficient in general), in which case
+    the protocol is simulated for the report.
+    """
+    cfg = cfg or OptimizerConfig()
+    cert = certify_direction(s)
+    if cert is not None:
+        return Verdict("indistinguishable", certificate=cert)
+
+    witness, used, povm, rate = run_protocol(s, cfg)
+    if povm is not None:
         return Verdict(
-            "unknown",
+            "distinguishable",
             witness=witness,
+            povm_size=len(povm),
+            simulated_success=rate,
             best_residual=witness.residual,
             restarts_used=used,
         )
     near = cfg.success_tol <= witness.residual <= cfg.failure_floor
     return Verdict(
         "unknown",
-        witness=witness if near else None,
+        witness=witness if witness.residual <= cfg.failure_floor else None,
         best_residual=witness.residual,
         restarts_used=used,
         near_witness=near,

@@ -1,16 +1,18 @@
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from entdis.certify import (
+    _membership_residuals,
+    _projection_residuals,
     block_identity_prover,
     certificate_from_dict,
     certificate_to_dict,
     constraint_matrix,
     constraints_from_set,
-    coords_to_hermitian,
     fourier_cover_prover,
     hermitian_coords,
     hermitian_feasible_subspace,
@@ -108,7 +110,6 @@ def test_hermitian_coords_round_trip():
         A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         M = (A + A.conj().T) / 2
         x = hermitian_coords(M)
-        assert np.max(np.abs(coords_to_hermitian(x, d) - M)) < 1e-13
         # the coordinate map is an isometry for Tr(AB)
         assert abs(np.dot(x, x) - np.real(np.trace(M @ M))) < 1e-10
 
@@ -119,29 +120,44 @@ def test_feasible_subspace_identity_z():
     assert fs.dim() == 3
 
 
+def assert_row_basis_spans_constraints(fs):
+    # orthonormal rows whose span holds every constraint row: the feasible
+    # subspace is exactly their orthogonal complement
+    Q = fs.row_basis
+    A = constraint_matrix(fs.unitaries)
+    assert Q.shape == (fs.constraint_rank, fs.d * fs.d)
+    assert np.max(np.abs(Q @ Q.T - np.eye(fs.constraint_rank))) < 1e-12
+    assert np.max(np.abs(A - (A @ Q.T) @ Q)) < 1e-10
+
+
 def test_feasible_subspace_identity_x_z():
     fs = hermitian_feasible_subspace(UnitarySet(2, (I2, X2, Z2)))
     assert fs.dim() == 4 - fs.constraint_rank
     assert fs.constraint_rank == 3
-    for M in fs.basis:
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    U, V = fs.unitaries.members[i], fs.unitaries.members[j]
-                    assert abs(np.trace(U @ M @ V.conj().T)) < 1e-10
+    assert_row_basis_spans_constraints(fs)
 
 
 def test_feasible_subspace_theorem2():
     s = theorem2_set(Theorem2Spec(7))
     fs = hermitian_feasible_subspace(s)
     assert fs.dim() == 49 - fs.constraint_rank
-    for M in fs.basis:
-        assert np.max(np.abs(M - M.conj().T)) < 1e-12
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    U, V = s.members[i], s.members[j]
-                    assert abs(np.trace(U @ M @ V.conj().T)) < 1e-10
+    assert_row_basis_spans_constraints(fs)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [UnitarySet(2, (I2, X2, Z2)), theorem2_set(Theorem2Spec(7)), bell_set(5, [(0, 0), (1, 2)])],
+    ids=["qubit_triple", "theorem2_d7", "bell_pair_d5"],
+)
+def test_projection_residuals_match_lstsq(s):
+    # the prover's projection and the verifier's least squares measure the
+    # same distance from the constraint row space, on every 2-row block
+    fs = hermitian_feasible_subspace(s)
+    A = constraint_matrix(s)
+    for rows in combinations(range(s.d), 2):
+        proj = _projection_residuals(fs, rows)
+        ref = _membership_residuals(A, s.d, rows)
+        assert np.max(np.abs(np.subtract(proj, ref))) < 1e-12
 
 
 def test_feasible_subspace_needs_two():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import entdis.search
 from entdis.cli import main
 from entdis.serialize import canonical_json, matrix_to_json
 
@@ -134,6 +135,27 @@ def test_certify_inconclusive_on_distinguishable_set(tmp_path):
     assert report["directions"]["A_to_B"]["certificate"] is None
 
 
+def test_certify_and_verify_block_certificates(tmp_path):
+    sf = tmp_path / "t2.json"
+    run(["gen", "theorem2", "--d", 7, "--output", sf])
+    cf = tmp_path / "report.json"
+    assert run(["certify", sf, "--output", cf]) == 0
+    directions = json.loads(cf.read_text())["directions"]
+    for label in ("A_to_B", "B_to_A"):
+        assert directions[label]["found"] is True
+        assert directions[label]["certificate"]["kind"] == "forced_block"
+
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(canonical_json(directions["A_to_B"]["certificate"]))
+    assert run(["verify", cert_file, sf]) == 0
+
+    rf = tmp_path / "verdict.json"
+    assert run(["decide", sf, "--output", rf]) == 0
+    reports = {r["direction"]: r for r in json.loads(rf.read_text())["reports"]}
+    for label in ("A_to_B", "B_to_A"):
+        assert reports[label]["certificate"] == directions[label]["certificate"]
+
+
 def test_search_command(tmp_path):
     sf = tmp_path / "set.json"
     run(["gen", "bell", "--d", 2, "--indices", "0,0;0,1", "--output", sf])
@@ -152,6 +174,22 @@ def test_simulate_command(tmp_path):
     doc = json.loads(rf.read_text())
     assert doc["success_rate"] == 1.0
     assert doc["povm_size"] == 9
+
+
+def test_simulate_rejects_nonpositive_trials(tmp_path, monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("witness search ran before --trials was checked")
+
+    monkeypatch.setattr(entdis.search, "witness_search", no_search)
+    pair = tmp_path / "pair.json"
+    run(["gen", "bell", "--d", 3, "--indices", "0,0;1,0", "--output", pair])
+    block = tmp_path / "t2.json"
+    run(["gen", "theorem2", "--d", 7, "--output", block])
+    for sf in (pair, block):
+        rf = tmp_path / "sim.json"
+        assert run(["simulate", sf, "--trials", 0, "--output", rf]) == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not rf.exists()
 
 
 def test_sweep_rows_and_formats(tmp_path):

@@ -111,16 +111,6 @@ def test_witness_residual_recomputes():
     assert abs(f - w.residual) < 1e-12
 
 
-def test_witness_search_deterministic_across_workers(monkeypatch):
-    s = bell_set(5, [(0, 0), (2, 3)])
-    monkeypatch.setenv("ENTDIS_THREADS", "1")
-    w1 = witness_search(s)
-    monkeypatch.setenv("ENTDIS_THREADS", "3")
-    w2 = witness_search(s)
-    assert w1.residual == w2.residual
-    assert np.array_equal(w1.alpha, w2.alpha)
-
-
 def test_orbit_leaves_penalty_invariant():
     rng = np.random.default_rng(17)
     for d in range(2, 7):
