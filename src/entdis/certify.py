@@ -19,7 +19,8 @@ Two sound (not complete) provers:
   there; a scalar block of a rank-one PSD matrix is zero, so no family of
   rank-one elements can sum to the identity.  Membership residuals are
   distances from the row space of the constraint matrix, read off one thin
-  SVD by projection.
+  SVD by projection, after a screen that rejects a block when a functional
+  h, sparse in these coordinates, loses ||h||^2 - ||Qh||^2 > 1e-6.
 
 verify_certificate re-derives everything from the set by least squares, so
 certificates are independently checkable artifacts.
@@ -33,12 +34,13 @@ from itertools import combinations
 import numpy as np
 
 from .gpauli import check_dimension, check_index
-from .serialize import canonical_json, matrix_to_json, sha256_hex
+from .serialize import sha256_hex
 from .states import UnitarySet
 from .version import __version__
 
 RANK_RTOL = 1e-8
 BLOCK_TOL = 1e-8
+_SCREEN_TOL = 1e-6
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -269,8 +271,16 @@ class BlockCertificate:
 
 
 def unitaries_hash(s: UnitarySet) -> str:
-    doc = {"d": s.d, "unitaries": [matrix_to_json(U) for U in s.members]}
-    return sha256_hex(canonical_json(doc))
+    """sha256_hex(canonical_json({"d": d, "unitaries": [matrix_to_json(U), ...]})), written directly."""
+
+    def block(items, level):
+        pad = "\n" + "  " * level
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+    row = block([block(["%r", "%r"], 5)] * s.d, 4)  # members are complex128
+    floats = [np.ascontiguousarray(U).view(np.float64).tolist() for U in s.members]
+    mats = [block([row % tuple(r) for r in entries], 3) for entries in floats]
+    return sha256_hex('{\n  "d": %d,\n  "unitaries": %s\n}\n' % (s.d, block(mats, 2)))
 
 
 def _membership_residuals(A: np.ndarray, d: int, rows) -> list:
@@ -294,9 +304,27 @@ def _projection_residuals(S: FeasibleSubspace, rows) -> list:
     return residuals
 
 
+def _block_coordinates(d: int, rows) -> list:
+    """(indices, coefficients) of each traceless block functional in Hermitian coordinates."""
+    pairs = [d + 2 * (p * d - p * (p + 1) // 2 + q - p - 1) for p, q in combinations(rows, 2)]
+    out = [([k + part], np.ones(1)) for k in pairs for part in (0, 1)]
+    diag = [np.append(np.ones(t), -t) / np.sqrt(t * (t + 1)) for t in range(1, len(rows))]
+    return out + [(list(rows[: len(c)]), c) for c in diag]
+
+
+def _screen_rejects(S: FeasibleSubspace, rows) -> bool:
+    """True when some block functional h has ||h||^2 - ||Qh||^2 (its squared
+    residual) above _SCREEN_TOL; the sparse h reads only a few columns of Q."""
+    Q = S.row_basis
+    coords = _block_coordinates(S.d, rows)
+    return any(c @ c - np.sum((Q[:, i] @ c) ** 2) > _SCREEN_TOL for i, c in coords)
+
+
 def block_identity_prover(S: FeasibleSubspace, block_rows):
     """BlockCertificate if every traceless block functional is forced, else None."""
     rows = _check_block_rows(S.d, block_rows)
+    if _screen_rejects(S, rows):  # a certifiable block loses at most 1e-16 plus rounding
+        return None
     residuals = _projection_residuals(S, rows)
     if max(residuals) >= BLOCK_TOL:
         return None

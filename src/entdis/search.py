@@ -12,7 +12,9 @@ of (seed, restart index), so results are reproducible.
 Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
 constraint matrix); run_protocol runs search, POVM completion and the
-protocol simulation; decide_direction chains the two.
+protocol simulation, each batched over all POVM outcomes with einsum (a
+threaded BLAS call on arrays this small only adds spinning threads);
+decide_direction chains the two.
 
 Conventions: the stored witness alpha lives on the receiving (Bob) side;
 the measuring party's POVM vectors are the conjugates phi = conj(alpha),
@@ -262,16 +264,18 @@ def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect
 
 
 def _merge_up_to_phase(vectors, weights):
-    """Collapse vectors equal up to a global phase, accumulating weights."""
+    """Collapse vectors equal up to a global phase, accumulating weights in order:
+    each new representative claims every later unclaimed match in one matvec."""
+    V, w = np.array(vectors), np.asarray(weights, dtype=float)
+    free = np.ones(len(V), dtype=bool)
     reps, acc = [], []
-    for v, w in zip(vectors, weights):
-        for k, u in enumerate(reps):
-            if abs(np.vdot(u, v)) > 1.0 - _MERGE_TOL:
-                acc[k] += w
-                break
-        else:
-            reps.append(v)
-            acc.append(w)
+    for k in range(len(V)):
+        if free[k]:
+            claim = free[k:] & (np.abs(np.einsum("kd,d->k", V[k:], np.conj(V[k]))) > 1.0 - _MERGE_TOL)
+            claim[0] = True
+            free[k:] &= ~claim
+            reps.append(vectors[k])
+            acc.append(float(np.cumsum(w[k:][claim])[-1]))
     return reps, acc
 
 
@@ -299,13 +303,9 @@ def povm_identity_residual(p: Povm, d: int) -> float:
 
 def povm_orthogonality_residual(p: Povm, s: UnitarySet) -> float:
     """Largest |<conj(phi_k)| U_i^dag U_j |conj(phi_k)>| over elements and pairs."""
-    W = pair_operators(s)
-    worst = 0.0
-    for _, v in p.elements:
-        b = np.conj(v)
-        g = (W @ b) @ np.conj(b)
-        worst = max(worst, float(np.max(np.abs(g))))
-    return worst
+    B = np.conj(np.array(p.vectors))
+    g = np.einsum("pde,ke,kd->pk", pair_operators(s), B, np.conj(B))  # (pairs, K)
+    return float(np.max(np.abs(g)))
 
 
 def povm_completion(
@@ -354,46 +354,30 @@ def povm_completion(
 # ---------------------------------------------------------------------------
 
 
-def _receiver_basis(s: UnitarySet, phi: np.ndarray):
-    """Orthonormal receiver basis for one outcome, plus direction labels.
+def _answer_table(s: UnitarySet, povm: Povm):
+    """Answer probabilities conf[k, i, r] for every outcome k at once, and leftover labels.
 
-    Candidates U_j conj(phi) are Gram-Schmidted in state order; candidates
-    already spanned by earlier ones get a fresh completion direction instead
-    (the receiver can still answer j, just not reliably).  Leftover
-    completion directions carry no label (-1: always a wrong answer).
+    Candidates U_j b_k (b_k = conj(phi_k)) are Gram-Schmidted twice in state
+    order; one with residual <= 1e-8 is rejected and its column stays zero.
+    Column j < n holds |<q_j|U_i b_k>|^2 / |U_i b_k|^2 and answers j; column n
+    holds the leftover (below 1e-16) and answers leftover[k], the first
+    rejected state, or -1 (always wrong) when none was rejected.
     """
-    d = s.d
-    b = np.conj(phi)
-    accepted: list[np.ndarray] = []
-    labels: list[int] = []
-    pending: list[int] = []
-
-    def residual(v):
-        u = v.astype(np.complex128).copy()
-        for _ in range(2):  # re-orthogonalize for near-parallel candidates
-            for w in accepted:
-                u -= np.vdot(w, u) * w
-        return u
-
-    for j, U in enumerate(s.members):
-        u = residual(U @ b)
-        nrm = np.linalg.norm(u)
-        if nrm > 1e-8:
-            accepted.append(u / nrm)
-            labels.append(j)
-        else:
-            pending.append(j)
-    for e in range(d):
-        if len(accepted) == d:
-            break
-        u = residual(np.eye(d, dtype=np.complex128)[e])
-        nrm = np.linalg.norm(u)
-        if nrm > 1e-8:
-            accepted.append(u / nrm)
-            labels.append(pending.pop(0) if pending else -1)
-    if len(accepted) < d:
-        raise RuntimeError("failed to complete the receiver basis")
-    return np.array(accepted), np.array(labels)
+    b = np.conj(np.array(povm.vectors))  # (K, d)
+    cand = np.einsum("ide,ke->kid", np.array(s.members), b)  # (K, n, d): U_i b_k
+    basis = np.zeros_like(cand)
+    leftover = np.full(len(b), -1)
+    for j in range(len(s)):
+        u = cand[:, j].copy()
+        for r in list(range(j)) * 2:  # two passes for near-parallel candidates
+            u -= np.einsum("kd,kd->k", basis[:, r].conj(), u)[:, None] * basis[:, r]
+        nrm = np.linalg.norm(u, axis=1)
+        ok = nrm > 1e-8
+        basis[ok, j] = u[ok] / nrm[ok, None]
+        leftover[~ok & (leftover == -1)] = j
+    conf = np.abs(np.einsum("krd,kid->kir", basis.conj(), cand)) ** 2
+    conf /= np.sum(np.abs(cand) ** 2, axis=2)[:, :, None]
+    return np.concatenate([conf, 1.0 - conf.sum(axis=2, keepdims=True)], axis=2), leftover
 
 
 def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS, seed: int = 0) -> float:
@@ -404,7 +388,7 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
     conditional state U_i conj(phi_k) onto the per-outcome basis and answers
     the label he lands on.  The POVM must resolve the identity; per-outcome
     orthogonality is exactly what the simulation measures, so it is not a
-    precondition.
+    precondition.  Completion directions carry only the leftover mass.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -418,28 +402,16 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
     if res >= IDENTITY_TOL:
         raise ValueError(f"POVM does not resolve the identity (residual {res:.3e})")
 
-    d, n = s.d, len(s)
-    n_out = len(povm)
-    conf = np.empty((n_out, n, d))
-    labels = np.empty((n_out, d), dtype=np.int64)
-    for k, phi in enumerate(povm.vectors):
-        basis, lab = _receiver_basis(s, phi)
-        labels[k] = lab
-        b = np.conj(phi)
-        for i, U in enumerate(s.members):
-            amps = basis.conj() @ (U @ b)
-            probs = np.abs(amps) ** 2
-            conf[k, i] = probs / probs.sum()
-
+    conf, leftover = _answer_table(s, povm)
     rng = np.random.default_rng(seed)
-    i_draw = rng.integers(0, n, size=trials)
+    i_draw = rng.integers(0, len(s), size=trials)
     k_cum = np.cumsum(weights / s.d)
     k_cum[-1] = 1.0
     k_draw = np.searchsorted(k_cum, rng.random(trials), side="right")
     u = rng.random(trials)
     rows = np.cumsum(conf[k_draw, i_draw], axis=1)
     r_draw = (u[:, None] < rows).argmax(axis=1)
-    answers = labels[k_draw, r_draw]
+    answers = np.where(r_draw < len(s), r_draw, leftover[k_draw])
     return float(np.mean(answers == i_draw))
 
 

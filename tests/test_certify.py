@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from entdis.certify import (
+    BLOCK_TOL,
+    _block_coordinates,
+    _functional_coords,
     _membership_residuals,
     _projection_residuals,
+    _screen_rejects,
     block_identity_prover,
     certificate_from_dict,
     certificate_to_dict,
@@ -23,6 +27,7 @@ from entdis.certify import (
     verify_certificate_detailed,
 )
 from entdis.search import witness_search
+from entdis.serialize import canonical_json, matrix_to_json, sha256_hex
 from entdis.states import Theorem2Spec, UnitarySet, bell_set, theorem1_indices, theorem1_set, theorem2_set
 
 I2 = np.eye(2, dtype=complex)
@@ -158,6 +163,69 @@ def test_projection_residuals_match_lstsq(s):
         proj = _projection_residuals(fs, rows)
         ref = _membership_residuals(A, s.d, rows)
         assert np.max(np.abs(np.subtract(proj, ref))) < 1e-12
+
+
+def random_untagged_pair(d, rng):
+    # V and V diag(1, w, ..., w^(d-1)) are trace-orthogonal for w = e^(2 pi i/d)
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return UnitarySet(d, (V, V * np.exp(2j * np.pi * np.arange(d) / d)))
+
+
+def screen_cases():
+    rng = np.random.default_rng(31)
+    t1 = theorem1_set(5)
+    return (
+        [UnitarySet(2, (I2, X2, Z2)), UnitarySet(5, t1.members), bell_set(5, [(0, 0), (1, 2)])]
+        + [theorem2_set(Theorem2Spec(d)) for d in (7, 9, 11, 13)]
+        + [random_untagged_pair(d, rng) for d in (3, 4, 5, 6)]
+    )
+
+
+def test_block_screen_is_sound():
+    # the screen may reject only blocks whose projection residual misses
+    # BLOCK_TOL, so scan_blocks agrees with an exhaustive projection scan
+    certified = 0
+    for k, s in enumerate(screen_cases()):
+        fs = hermitian_feasible_subspace(s)
+        first = None
+        for rows in combinations(range(s.d), 2):
+            proj = _projection_residuals(fs, rows)
+            if _screen_rejects(fs, rows):
+                assert max(proj) >= BLOCK_TOL, (k, rows)
+            if first is None and max(proj) < BLOCK_TOL:
+                first = (rows, tuple(proj))
+        cert = scan_blocks(fs)
+        assert (cert is None) == (first is None), k
+        if cert is not None:
+            assert (cert.block_rows, cert.forced_functional_residuals) == first
+            certified += 1
+    assert certified == 6
+
+
+def test_block_coordinates_match_dense_functionals():
+    for d, rows in ((2, (0, 1)), (5, (1, 3)), (5, (0, 2, 4)), (6, (0, 1, 3, 5))):
+        fns = traceless_block_functionals(d, rows)
+        sparse = _block_coordinates(d, rows)
+        assert len(sparse) == len(fns)
+        for H, (idx, coef) in zip(fns, sparse):
+            h = np.zeros(d * d)
+            h[idx] = coef
+            assert np.max(np.abs(h - _functional_coords(H).real)) < 1e-15
+
+
+def test_unitaries_hash_matches_canonical_json():
+    rng = np.random.default_rng(37)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    V = np.full((3, 3), complex(-0.0, 0.0))
+    V[:2, :2] = q
+    V[2, 2] = np.exp(0.3j)
+    pair = UnitarySet(3, (V, V * np.exp(2j * np.pi * np.arange(3) / 3)))
+    floats = [repr(x) for U in pair.members for x in U.view(np.float64).ravel().tolist()]
+    assert "-0.0" in floats
+    assert any(len(x.lstrip("-0.")) == 17 for x in floats)
+    for s in (theorem2_set(Theorem2Spec(7)), bell_set(5, [(0, 0), (1, 2), (3, 1)]), pair):
+        doc = {"d": s.d, "unitaries": [matrix_to_json(U) for U in s.members]}
+        assert unitaries_hash(s) == sha256_hex(canonical_json(doc))
 
 
 def test_feasible_subspace_needs_two():

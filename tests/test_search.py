@@ -6,8 +6,11 @@ import pytest
 from entdis import _kernels as K
 from entdis.gpauli import all_indices, to_matrix
 from entdis.search import (
+    _MERGE_TOL,
     OptimizerConfig,
     Povm,
+    _answer_table,
+    _merge_up_to_phase,
     decide,
     decide_direction,
     decision_to_dict,
@@ -200,6 +203,148 @@ def test_simulate_validates_input():
         simulate_protocol(s, nonunit, 100, seed=0)
     with pytest.raises(ValueError):
         witness_search(UnitarySet(2, (np.eye(2, dtype=complex),)))
+
+
+# Reference implementations: the per-outcome receiver-basis loop and the
+# pairwise phase merge that the batched versions in entdis.search replace.
+
+
+def reference_receiver_basis(s, phi):
+    d = s.d
+    b = np.conj(phi)
+    accepted, labels, pending = [], [], []
+
+    def residual(v):
+        u = v.astype(np.complex128).copy()
+        for _ in range(2):
+            for w in accepted:
+                u -= np.vdot(w, u) * w
+        return u
+
+    for j, U in enumerate(s.members):
+        u = residual(U @ b)
+        nrm = np.linalg.norm(u)
+        if nrm > 1e-8:
+            accepted.append(u / nrm)
+            labels.append(j)
+        else:
+            pending.append(j)
+    for e in range(d):
+        if len(accepted) == d:
+            break
+        u = residual(np.eye(d, dtype=np.complex128)[e])
+        nrm = np.linalg.norm(u)
+        if nrm > 1e-8:
+            accepted.append(u / nrm)
+            labels.append(pending.pop(0) if pending else -1)
+    assert len(accepted) == d
+    return np.array(accepted), np.array(labels)
+
+
+def reference_table(s, povm):
+    n_out, n, d = len(povm), len(s), s.d
+    conf = np.empty((n_out, n, d))
+    labels = np.empty((n_out, d), dtype=np.int64)
+    for k, phi in enumerate(povm.vectors):
+        basis, labels[k] = reference_receiver_basis(s, phi)
+        for i, U in enumerate(s.members):
+            probs = np.abs(basis.conj() @ (U @ np.conj(phi))) ** 2
+            conf[k, i] = probs / probs.sum()
+    return conf, labels
+
+
+def reference_simulate(s, povm, trials, seed):
+    conf, labels = reference_table(s, povm)
+    rng = np.random.default_rng(seed)
+    i_draw = rng.integers(0, len(s), size=trials)
+    k_cum = np.cumsum(povm.weights / s.d)
+    k_cum[-1] = 1.0
+    k_draw = np.searchsorted(k_cum, rng.random(trials), side="right")
+    u = rng.random(trials)
+    rows = np.cumsum(conf[k_draw, i_draw], axis=1)
+    answers = labels[k_draw, (u[:, None] < rows).argmax(axis=1)]
+    return float(np.mean(answers == i_draw))
+
+
+def reference_orthogonality_residual(povm, s):
+    W = pair_operators(s)
+    return max(float(np.max(np.abs((W @ np.conj(v)) @ v))) for v in povm.vectors)
+
+
+def answers_by_label(conf, labels, n):
+    """dist[k, i, a + 1]: probability that state i under outcome k is answered a (-1..n-1)."""
+    dist = np.zeros(conf.shape[:2] + (n + 1,))
+    for k in range(conf.shape[0]):
+        for r, a in enumerate(labels[k]):
+            dist[k, :, a + 1] += conf[k, :, r]
+    return dist
+
+
+def reference_merge(vectors, weights):
+    reps, acc = [], []
+    for v, w in zip(vectors, weights):
+        for k, u in enumerate(reps):
+            if abs(np.vdot(u, v)) > 1.0 - _MERGE_TOL:
+                acc[k] += w
+                break
+        else:
+            reps.append(v)
+            acc.append(w)
+    return reps, acc
+
+
+def random_unit(rng, d):
+    a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return a / np.linalg.norm(a)
+
+
+def simulation_cases():
+    rng = np.random.default_rng(23)
+    untagged = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    w, harvest = witness_search(untagged, OptimizerConfig(stop_at_success=False, restarts=8), collect=True)
+    return [
+        ("coin_flip", bell_set(2, [(0, 0), (0, 1)]), orbit_povm(2, np.array([1, 1], dtype=complex) / np.sqrt(2))),
+        ("theorem2_d7_e0", theorem2_set(Theorem2Spec(7)), orbit_povm(7, np.eye(7, dtype=complex)[0])),
+        ("bell3_d5_random", bell_set(5, [(0, 0), (1, 2), (3, 1)]), orbit_povm(5, random_unit(rng, 5))),
+        ("theorem2_d9_random", theorem2_set(Theorem2Spec(9)), orbit_povm(9, random_unit(rng, 9))),
+        ("untagged_ix_nnls", untagged, povm_completion(untagged, w, harvest)),
+    ]
+
+
+def test_batched_simulation_matches_per_outcome_reference():
+    for name, s, povm in simulation_cases():
+        assert povm is not None, name
+        for seed in range(5):
+            assert simulate_protocol(s, povm, 10_000, seed) == reference_simulate(s, povm, 10_000, seed), (name, seed)
+        conf, leftover = _answer_table(s, povm)
+        labels = np.column_stack([np.tile(np.arange(len(s)), (len(povm), 1)), leftover])
+        got = answers_by_label(conf, labels, len(s))
+        want = answers_by_label(*reference_table(s, povm), len(s))
+        assert np.max(np.abs(got - want)) < 1e-12, name
+        assert abs(povm_orthogonality_residual(povm, s) - reference_orthogonality_residual(povm, s)) < 1e-14
+
+
+def test_claiming_merge_matches_pairwise_reference():
+    rng = np.random.default_rng(29)
+    e0 = np.eye(5, dtype=complex)[0]
+    flat = np.ones(6, dtype=complex) / np.sqrt(6)
+    phased = np.exp(2j * np.pi * rng.random(4)) / 2
+    vecs = [random_unit(rng, 4) for _ in range(12)]
+    for k in (3, 7, 7, 11, 0):
+        vecs.insert(int(rng.integers(0, len(vecs) + 1)), np.exp(2j * np.pi * rng.random()) * vecs[k])
+    cases = [
+        [np.conj(to_matrix(5, p) @ e0) for p in all_indices(5)],
+        [np.conj(to_matrix(6, p) @ flat) for p in all_indices(6)],
+        [np.conj(to_matrix(4, p) @ phased) for p in all_indices(4)],
+        vecs,
+    ]
+    for vectors, classes in zip(cases, (5, 6, 16, 12)):
+        for weights in ([1.0 / 5] * len(vectors), list(rng.random(len(vectors)))):
+            reps, acc = _merge_up_to_phase(vectors, weights)
+            want_reps, want_acc = reference_merge(vectors, weights)
+            assert len(reps) == len(want_reps) == classes
+            assert all(u is v for u, v in zip(reps, want_reps))
+            assert acc == want_acc
 
 
 def test_decide_certified_family_both_directions():
