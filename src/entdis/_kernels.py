@@ -6,105 +6,25 @@ real/imaginary parts, written as a complex vector, is
 
     grad = 2 * sum_p ( conj(g_p) W_p + g_p W_p^dag ) alpha,   g_p = a^dag W_p a.
 
-Two interchangeable implementations exist: numba-compiled loops and a
-vectorized pure-numpy path.  The active one is chosen at import time by
-ENTDIS_BACKEND=numba|numpy (default: numba when importable, with a numpy
-fallback).  Both are always importable individually for benchmarking.
+Half of it, with real and imaginary parts stacked, is J^T r for the real
+Jacobian J of the residuals r = (Re g, Im g): the Levenberg-Marquardt
+right-hand side in entdis.search.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - mirror of the numpy-only environment
-    njit = None
-    NUMBA_AVAILABLE = False
-
-
-def penalty_value_numpy(W: np.ndarray, alpha: np.ndarray) -> float:
+def penalty_value(W: np.ndarray, alpha: np.ndarray) -> float:
     wa = W @ alpha
     g = wa @ np.conj(alpha)
     return float(np.sum(g.real * g.real + g.imag * g.imag))
 
 
-def penalty_value_grad_numpy(W: np.ndarray, Wd: np.ndarray, alpha: np.ndarray):
+def penalty_value_grad(W: np.ndarray, Wd: np.ndarray, alpha: np.ndarray):
     wa = W @ alpha
     wda = Wd @ alpha
     g = wa @ np.conj(alpha)
     f = float(np.sum(g.real * g.real + g.imag * g.imag))
     grad = 2.0 * (np.conj(g)[:, None] * wa + g[:, None] * wda).sum(axis=0)
     return f, grad
-
-
-def _penalty_value_loops(W, alpha):
-    P, d = W.shape[0], W.shape[1]
-    f = 0.0
-    for p in range(P):
-        g = 0j
-        for i in range(d):
-            acc = 0j
-            for j in range(d):
-                acc += W[p, i, j] * alpha[j]
-            g += np.conj(alpha[i]) * acc
-        f += g.real * g.real + g.imag * g.imag
-    return f
-
-
-def _penalty_value_grad_loops(W, Wd, alpha):
-    P, d = W.shape[0], W.shape[1]
-    f = 0.0
-    grad = np.zeros(d, dtype=np.complex128)
-    wa = np.empty(d, dtype=np.complex128)
-    wda = np.empty(d, dtype=np.complex128)
-    for p in range(P):
-        g = 0j
-        for i in range(d):
-            acc = 0j
-            accd = 0j
-            for j in range(d):
-                acc += W[p, i, j] * alpha[j]
-                accd += Wd[p, i, j] * alpha[j]
-            wa[i] = acc
-            wda[i] = accd
-            g += np.conj(alpha[i]) * acc
-        f += g.real * g.real + g.imag * g.imag
-        gc = np.conj(g)
-        for i in range(d):
-            grad[i] += 2.0 * (gc * wa[i] + g * wda[i])
-    return f, grad
-
-
-if NUMBA_AVAILABLE:
-    penalty_value_numba = njit(cache=True, nogil=True)(_penalty_value_loops)
-    penalty_value_grad_numba = njit(cache=True, nogil=True)(_penalty_value_grad_loops)
-else:  # pragma: no cover
-    penalty_value_numba = None
-    penalty_value_grad_numba = None
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("ENTDIS_BACKEND", "").strip().lower()
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("ENTDIS_BACKEND=numba requested but numba is not importable")
-        return "numba"
-    if requested not in ("", "auto"):
-        raise RuntimeError(f"unknown ENTDIS_BACKEND value {requested!r}")
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    penalty_value = penalty_value_numba
-    penalty_value_grad = penalty_value_grad_numba
-else:
-    penalty_value = penalty_value_numpy
-    penalty_value_grad = penalty_value_grad_numpy

@@ -8,8 +8,7 @@ byte-identical output; human-readable summaries go to stderr.
 decide, certify, simulate and sweep share the pipeline stages of
 entdis.search: certify_direction (forced-block residuals are distances
 from the row space of the constraint matrix, by projection) and
-run_protocol.  ENTDIS_BACKEND selects the kernel implementation (numba or
-numpy).
+run_protocol.
 """
 from __future__ import annotations
 
@@ -88,7 +87,7 @@ def _parse_indices(text: str) -> list:
 def _add_search_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--restarts", type=int, default=64, help="search restarts (default 64)")
-    p.add_argument("--max-iterations", type=int, default=2000, help="descent iterations per restart")
+    p.add_argument("--max-iterations", type=int, default=2000, help="Levenberg-Marquardt iterations per restart")
     p.add_argument("--tol-success", type=float, default=1e-12, help="witness acceptance residual")
     p.add_argument("--tol-floor", type=float, default=1e-6, help="failure floor residual")
 

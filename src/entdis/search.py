@@ -4,10 +4,11 @@ Witness search: a set of maximally entangled states defined by unitaries
 {U_i} is one-way distinguishable (measuring party first) when some unit
 vector alpha has pairwise-orthogonal images {U_i alpha}.  The search
 minimizes the squared violation f(alpha) = sum_{i<j} |<alpha|U_i^dag
-U_j|alpha>|^2 on the unit sphere by random-restart projected gradient
-descent with backtracking line search, plus a Gauss-Newton polish of
-near-zeros.  Restarts run one after another, and each is a pure function
-of (seed, restart index), so results are reproducible.
+U_j|alpha>|^2 on the unit sphere: each random restart runs one damped
+Gauss-Newton (Levenberg-Marquardt) solve of the residual system
+<alpha|U_i^dag U_j|alpha> = 0, renormalizing after every step.  Restarts
+run one after another, and each is a pure function of (seed, restart
+index), so results are reproducible.
 
 Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
@@ -142,92 +143,73 @@ def penalty(alpha: np.ndarray, s: UnitarySet):
     return float(f), rgrad
 
 
-def _descend(W, Wd, alpha, max_iterations, success_tol):
-    """Projected gradient descent with doubling/backtracking line search.
+def _levenberg(W, Wd, alpha, max_iterations):
+    """Levenberg-Marquardt on the residual system g_p(alpha) = 0, renormalizing.
 
-    Stops at success_tol, at a numerically stationary point, or on a
-    relative plateau; plateaus well above zero (f > 1e-2) bail out coarsely
-    since the subsequent Gauss-Newton polish rescues anything actually near
-    a zero of the residual system.
+    The right-hand side J^T r is half the kernel gradient.  The normal matrix
+    J^T J gets a penalty on the radial and global-phase directions, scaled to
+    its mean diagonal: f is homogeneous of degree 4, so an undamped step would
+    shrink alpha and the renormalization would undo it.  A trial that lowers
+    f is taken and the damping drops 4x (not below 1e-9, so the solve stays
+    nonsingular); otherwise it grows 4x, up to 30 times.  Stops below 1e-28,
+    on a relative plateau over 5 iterations (coarse while f > 1e-2), or when
+    no damping lowers f.
     """
-    f, grad = K.penalty_value_grad(W, Wd, alpha)
-    step = 1.0
+    d = alpha.shape[0]
+    a = alpha
+    lam = 1e-3
+    eye = np.eye(2 * d)
+    f, grad = K.penalty_value_grad(W, Wd, a)
     window_f, window_at = f, 0
     for it in range(max_iterations):
-        rg = grad - np.real(np.vdot(alpha, grad)) * alpha
-        gn2 = float(np.real(np.vdot(rg, rg)))
-        if f < success_tol or gn2 < 1e-24:
+        if f < 1e-28:
             break
-        if it - window_at >= 30:
+        if it - window_at >= 5:
             prog = (window_f - f) / f
             if prog < 1e-9 or (f > 1e-2 and prog < 1e-3):
                 break
             window_f, window_at = f, it
-        step = min(step * 2.0, 1e6)
-        cand = None
-        while step >= 1e-18:
-            trial = alpha - step * rg
-            trial /= np.linalg.norm(trial)
-            fc = K.penalty_value(W, trial)
-            if fc <= f - 1e-4 * step * gn2:
-                cand = trial
-                break
-            step *= 0.5
-        if cand is None:  # line search exhausted: stationary to machine precision
-            break
-        alpha = cand
-        f, grad = K.penalty_value_grad(W, Wd, alpha)
-    return alpha, float(f)
-
-
-def _polish(W, Wd, alpha, max_iterations=30):
-    """Gauss-Newton on the residual system g_p(alpha) = 0, renormalizing.
-
-    The real Jacobian is singular along the global-phase and radial
-    directions, so small singular values are cut off (relative 1e-8) before
-    solving; steps that fail to decrease are halved a few times.
-    """
-    d = alpha.shape[0]
-    best_a, best_f = alpha, K.penalty_value(W, alpha)
-    a = alpha
-    for _ in range(max_iterations):
         wa = W @ a
         wda = Wd @ a
-        g = wa @ np.conj(a)
         jx = wa + np.conj(wda)
         jy = 1j * (np.conj(wda) - wa)
         jac = np.block([[jx.real, jy.real], [jx.imag, jy.imag]])
-        rhs = -np.concatenate([g.real, g.imag])
-        delta, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-8)
-        improved = False
-        for _damp in range(8):
-            trial = a + delta[:d] + 1j * delta[d:]
-            nrm = np.linalg.norm(trial)
-            if nrm > 1e-12:
-                trial /= nrm
-                f = K.penalty_value(W, trial)
-                if f < best_f:
-                    best_a, best_f = trial, f
-                    a = trial
-                    improved = True
-                    break
-            delta = delta / 2.0
-        if not improved or best_f < 1e-28:
+        normal = jac.T @ jac
+        scale = np.trace(normal) / (2 * d)
+        u = np.concatenate([a.real, a.imag])
+        v = np.concatenate([-a.imag, a.real])
+        normal += scale * (np.outer(u, u) + np.outer(v, v))
+        rhs = -0.5 * np.concatenate([grad.real, grad.imag])
+        for _ in range(30):
+            z = np.linalg.solve(normal + lam * scale * eye, rhs)
+            trial = a + z[:d] + 1j * z[d:]
+            trial /= np.linalg.norm(trial)
+            ft = K.penalty_value(W, trial)
+            if ft < f:
+                lam = max(lam / 4.0, 1e-9)
+                break
+            lam *= 4.0
+        else:  # no damping lowers f: stationary to machine precision
             break
-    return best_a, float(best_f)
+        a = trial
+        f, grad = K.penalty_value_grad(W, Wd, a)
+    return a, float(f)
 
 
 def _run_restart(W, Wd, d, cfg, index):
+    """One restart: a seeded random unit start, then _levenberg; returns (f, alpha)."""
     rng = np.random.default_rng((cfg.seed ^ index) & _SEED_MASK)
     a0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     a0 /= np.linalg.norm(a0)
-    alpha, f = _descend(W, Wd, a0, cfg.max_iterations, cfg.success_tol)
-    alpha, f = _polish(W, Wd, alpha)
+    alpha, f = _levenberg(W, Wd, a0, cfg.max_iterations)
     return f, alpha
 
 
 def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect: bool = False):
-    """Best witness over cfg.restarts independent seeded descents, run in order.
+    """Best witness over cfg.restarts independent seeded restarts, run in order.
+
+    Each restart is one Levenberg-Marquardt solve of at most
+    cfg.max_iterations iterations from a random unit vector.
 
     Selection: the lowest-index restart reaching success_tol wins when
     stop_at_success is set (remaining restarts are skipped); otherwise the
@@ -295,9 +277,8 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
 
 def povm_identity_residual(p: Povm, d: int) -> float:
     """Max-entry deviation of sum_k m_k |phi_k><phi_k| from the identity."""
-    acc = -np.eye(d, dtype=np.complex128)
-    for w, v in p.elements:
-        acc += w * np.outer(v, np.conj(v))
+    V = np.array(p.vectors)
+    acc = np.einsum("k,kd,ke->de", p.weights, V, np.conj(V)) - np.eye(d)
     return float(np.max(np.abs(acc)))
 
 

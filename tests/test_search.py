@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from entdis.search import (
     Povm,
     _answer_table,
     _merge_up_to_phase,
+    _run_restart,
     decide,
     decide_direction,
     decision_to_dict,
@@ -80,21 +82,71 @@ def test_gradient_matches_finite_differences():
         assert np.linalg.norm(fd - gv) / np.linalg.norm(gv) < 1e-6
 
 
-def test_kernel_backends_agree():
-    if not K.NUMBA_AVAILABLE:
-        pytest.skip("numba not available")
-    rng = np.random.default_rng(3)
-    s = theorem1_set(6)
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def residual_jacobian(W, Wd, a):
+    """Real Jacobian of r = (Re g, Im g), g_p = a^dag W_p a, over (Re a, Im a), and r itself."""
+    wa, wda = W @ a, Wd @ a
+    g = wa @ np.conj(a)
+    jx = wa + np.conj(wda)
+    jy = 1j * (np.conj(wda) - wa)
+    return np.block([[jx.real, jy.real], [jx.imag, jy.imag]]), np.concatenate([g.real, g.imag])
+
+
+def test_half_gradient_is_jacobian_transpose_residual():
+    rng = np.random.default_rng(11)
+    sets = []
+    for d, picks in ((2, [0, 3]), (3, [0, 4, 7]), (5, [0, 6, 13, 21]), (6, [1, 8, 30])):
+        # A U B keeps the members unitary and trace-orthogonal
+        A, B = random_unitary(rng, d), random_unitary(rng, d)
+        bell = bell_set(d, [divmod(k, d) for k in picks])
+        sets.append(UnitarySet(d, tuple(A @ U @ B for U in bell.members)))
+    sets += [theorem2_set(Theorem2Spec(7)), bell_set(5, [(0, 0), (2, 3)])]
+    for s in sets:
+        W = pair_operators(s)
+        Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+        for _ in range(3):
+            a = random_unit(rng, s.d)
+            f, grad = K.penalty_value_grad(W, Wd, a)
+            jac, res = residual_jacobian(W, Wd, a)
+            assert abs(f - res @ res) < 1e-12
+            assert np.max(np.abs(0.5 * np.concatenate([grad.real, grad.imag]) - jac.T @ res)) < 1e-12
+
+
+def test_every_restart_solves_untagged_ix_pair():
+    s = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    _, harvest = witness_search(s, OptimizerConfig(stop_at_success=False), collect=True)
+    assert len(harvest) == 64
+    assert max(f for f, _ in harvest) < 1e-28
+    assert decide_direction(s).kind == "distinguishable"
+
+
+def test_restart_is_pure_function_of_seed_and_index():
+    s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
     W = pair_operators(s)
     Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
-    a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    a /= np.linalg.norm(a)
-    f1 = K.penalty_value_numba(W, a)
-    f2 = K.penalty_value_numpy(W, a)
-    assert abs(f1 - f2) < 1e-12
-    g1 = K.penalty_value_grad_numba(W, Wd, a)[1]
-    g2 = K.penalty_value_grad_numpy(W, Wd, a)[1]
-    assert np.max(np.abs(g1 - g2)) < 1e-12
+    cfg = OptimizerConfig(restarts=6, stop_at_success=False, seed=5)
+    _, harvest = witness_search(s, cfg, collect=True)
+    for k in (5, 0, 3):
+        f, alpha = _run_restart(W, Wd, s.d, cfg, k)
+        assert f == harvest[k][0]
+        assert np.array_equal(alpha, harvest[k][1])
+
+
+def test_damped_search_solves_sampled_qutrit_triples():
+    # the sample holds two of the 12 affine lines of Z_3 x Z_3, e.g. (0,0),(1,1),(2,2):
+    # undamped Gauss-Newton leaves 5-7 of their 64 restarts stalled at f > 1
+    labels = [(m, n) for m in range(3) for n in range(3)]
+    triples = list(combinations(labels, 3))
+    cfg = OptimizerConfig(stop_at_success=False)
+    for pick in np.random.default_rng(31).choice(len(triples), size=12, replace=False):
+        triple = triples[pick]
+        s = UnitarySet(3, bell_set(3, triple).members)
+        _, harvest = witness_search(s, cfg, collect=True)
+        assert all(f < cfg.success_tol for f, _ in harvest), triple
 
 
 def test_witness_search_known_pairs():
@@ -322,6 +374,23 @@ def test_batched_simulation_matches_per_outcome_reference():
         want = answers_by_label(*reference_table(s, povm), len(s))
         assert np.max(np.abs(got - want)) < 1e-12, name
         assert abs(povm_orthogonality_residual(povm, s) - reference_orthogonality_residual(povm, s)) < 1e-14
+
+
+def reference_identity_residual(povm, d):
+    acc = -np.eye(d, dtype=np.complex128)
+    for w, v in povm.elements:
+        acc += w * np.outer(v, np.conj(v))
+    return float(np.max(np.abs(acc)))
+
+
+def test_identity_residual_matches_per_element_reference():
+    rng = np.random.default_rng(37)
+    untagged = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    w, harvest = witness_search(untagged, OptimizerConfig(stop_at_success=False), collect=True)
+    cases = [(20, orbit_povm(20, random_unit(rng, 20))), (2, povm_completion(untagged, w, harvest))]
+    for d, povm in cases:
+        assert abs(povm_identity_residual(povm, d) - reference_identity_residual(povm, d)) < 1e-15
+        assert povm_identity_residual(povm, d) < 1e-10
 
 
 def test_claiming_merge_matches_pairwise_reference():
