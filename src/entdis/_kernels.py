@@ -8,7 +8,8 @@ real/imaginary parts, written as a complex vector, is
 
 Half of it, with real and imaginary parts stacked, is J^T r for the real
 Jacobian J of the residuals r = (Re g, Im g): the Levenberg-Marquardt
-right-hand side in entdis.search.
+right-hand side in entdis.search.  penalty_value_grad also returns the
+products W alpha and W^dag alpha, from which that step builds J.
 """
 from __future__ import annotations
 
@@ -27,4 +28,4 @@ def penalty_value_grad(W: np.ndarray, Wd: np.ndarray, alpha: np.ndarray):
     g = wa @ np.conj(alpha)
     f = float(np.sum(g.real * g.real + g.imag * g.imag))
     grad = 2.0 * (np.conj(g)[:, None] * wa + g[:, None] * wda).sum(axis=0)
-    return f, grad
+    return f, grad, wa, wda

@@ -6,9 +6,12 @@ vector alpha has pairwise-orthogonal images {U_i alpha}.  The search
 minimizes the squared violation f(alpha) = sum_{i<j} |<alpha|U_i^dag
 U_j|alpha>|^2 on the unit sphere: each random restart runs one damped
 Gauss-Newton (Levenberg-Marquardt) solve of the residual system
-<alpha|U_i^dag U_j|alpha> = 0, renormalizing after every step.  Restarts
-run one after another, and each is a pure function of (seed, restart
-index), so results are reproducible.
+<alpha|U_i^dag U_j|alpha> = 0, renormalizing after every step.  Each
+block of d consecutive restarts starts from one random orthonormal basis,
+so the starts pooled for NNLS completion resolve the identity; the witnesses
+found near them then do so far more often than those of independent
+starts.  Restarts run one after another, and each is a pure function of
+(seed, restart index), so results are reproducible.
 
 Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
@@ -138,7 +141,7 @@ def penalty(alpha: np.ndarray, s: UnitarySet):
         raise ValueError("penalty requires a unit vector")
     W = pair_operators(s)
     Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
-    f, grad = K.penalty_value_grad(W, Wd, alpha)
+    f, grad, _, _ = K.penalty_value_grad(W, Wd, alpha)
     rgrad = grad - np.real(np.vdot(alpha, grad)) * alpha
     return float(f), rgrad
 
@@ -146,7 +149,8 @@ def penalty(alpha: np.ndarray, s: UnitarySet):
 def _levenberg(W, Wd, alpha, max_iterations):
     """Levenberg-Marquardt on the residual system g_p(alpha) = 0, renormalizing.
 
-    The right-hand side J^T r is half the kernel gradient.  The normal matrix
+    The right-hand side J^T r is half the kernel gradient, and J is built
+    from the products W a and W^dag a the kernel returns.  The normal matrix
     J^T J gets a penalty on the radial and global-phase directions, scaled to
     its mean diagonal: f is homogeneous of degree 4, so an undamped step would
     shrink alpha and the renormalization would undo it.  A trial that lowers
@@ -159,7 +163,7 @@ def _levenberg(W, Wd, alpha, max_iterations):
     a = alpha
     lam = 1e-3
     eye = np.eye(2 * d)
-    f, grad = K.penalty_value_grad(W, Wd, a)
+    f, grad, wa, wda = K.penalty_value_grad(W, Wd, a)
     window_f, window_at = f, 0
     for it in range(max_iterations):
         if f < 1e-28:
@@ -169,11 +173,8 @@ def _levenberg(W, Wd, alpha, max_iterations):
             if prog < 1e-9 or (f > 1e-2 and prog < 1e-3):
                 break
             window_f, window_at = f, it
-        wa = W @ a
-        wda = Wd @ a
-        jx = wa + np.conj(wda)
-        jy = 1j * (np.conj(wda) - wa)
-        jac = np.block([[jx.real, jy.real], [jx.imag, jy.imag]])
+        jc = np.concatenate([wa + np.conj(wda), 1j * (np.conj(wda) - wa)], axis=1)
+        jac = np.concatenate([jc.real, jc.imag])
         normal = jac.T @ jac
         scale = np.trace(normal) / (2 * d)
         u = np.concatenate([a.real, a.imag])
@@ -192,24 +193,39 @@ def _levenberg(W, Wd, alpha, max_iterations):
         else:  # no damping lowers f: stationary to machine precision
             break
         a = trial
-        f, grad = K.penalty_value_grad(W, Wd, a)
+        f, grad, wa, wda = K.penalty_value_grad(W, Wd, a)
     return a, float(f)
 
 
+def _restart_start(d, seed, index):
+    """Start of restart `index`: vector index % d of one random orthonormal basis.
+
+    Restarts m*d .. m*d + d - 1 share the basis Gram-Schmidted from complex
+    Gaussian draws seeded by seed ^ (m*d), so every full block of d starts
+    resolves the identity.  Each start is still a pure function of
+    (seed, index).
+    """
+    m, j = divmod(index, d)
+    rng = np.random.default_rng((seed ^ (m * d)) & _SEED_MASK)
+    z = rng.standard_normal((j + 1, 2, d))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]).T)
+    return q[:, j] * (r[j, j] / abs(r[j, j]))
+
+
 def _run_restart(W, Wd, d, cfg, index):
-    """One restart: a seeded random unit start, then _levenberg; returns (f, alpha)."""
-    rng = np.random.default_rng((cfg.seed ^ index) & _SEED_MASK)
-    a0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    a0 /= np.linalg.norm(a0)
+    """One restart: the seeded unit start of _restart_start, then _levenberg;
+    returns (f, alpha)."""
+    a0 = _restart_start(d, cfg.seed, index)
     alpha, f = _levenberg(W, Wd, a0, cfg.max_iterations)
     return f, alpha
 
 
 def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect: bool = False):
-    """Best witness over cfg.restarts independent seeded restarts, run in order.
+    """Best witness over cfg.restarts seeded restarts, run in order.
 
     Each restart is one Levenberg-Marquardt solve of at most
-    cfg.max_iterations iterations from a random unit vector.
+    cfg.max_iterations iterations from the unit vector _restart_start
+    picks (blocks of d restarts start from one orthonormal basis).
 
     Selection: the lowest-index restart reaching success_tol wins when
     stop_at_success is set (remaining restarts are skipped); otherwise the

@@ -244,7 +244,7 @@ def test_criterion_7_numerical_hygiene():
         Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
         a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         a /= np.linalg.norm(a)
-        _, grad = K.penalty_value_grad(W, Wd, a)
+        _, grad, _, _ = K.penalty_value_grad(W, Wd, a)
         gv = np.concatenate([grad.real, grad.imag])
         fd = np.empty(2 * d)
         h = 1e-6
