@@ -22,8 +22,12 @@ Two sound (not complete) provers:
   SVD by projection, after a screen that rejects a block when a functional
   h, sparse in these coordinates, loses ||h||^2 - ||Qh||^2 > 1e-6.
 
-verify_certificate re-derives everything from the set by least squares, so
-certificates are independently checkable artifacts.
+pair_operators stacks every W_p = U_i^dag U_j (i < j); the constraint rows
+are hermitian_coords of the Hermitian and anti-Hermitian parts of W_p^dag.
+
+verify_certificate re-derives everything from the set by least squares (one
+solve per block), so certificates are independently checkable artifacts; it
+refuses a stated tolerance above BLOCK_TOL.
 """
 from __future__ import annotations
 
@@ -130,7 +134,7 @@ def fourier_cover_prover(c: CorrelationConstraintSystem):
 
 
 # ---------------------------------------------------------------------------
-# Hermitian coordinates and the feasible subspace
+# pair operators, Hermitian coordinates and the feasible subspace
 # ---------------------------------------------------------------------------
 #
 # Real coordinates on the d^2-dimensional space of Hermitian matrices use the
@@ -139,42 +143,43 @@ def fourier_cover_prover(c: CorrelationConstraintSystem):
 #   B_sym(pq) = (E_pq + E_qp)/sqrt(2)     p < q, lexicographic
 #   B_skw(pq) = i(E_pq - E_qp)/sqrt(2)
 # ordered [diagonals..., sym(0,1), skw(0,1), sym(0,2), skw(0,2), ...].
+# hermitian_coords is the only map into them: the constraint rows, the block
+# functionals and the NNLS columns of entdis.search all go through it.
+
+
+def pair_operators(s: UnitarySet) -> np.ndarray:
+    """Stacked W_p = U_i^dag U_j over pairs i < j in np.triu_indices order."""
+    if len(s) < 2:
+        raise ValueError("distinguishability needs at least two states")
+    U = np.array(s.members)
+    i, j = np.triu_indices(len(s), k=1)
+    return np.conj(np.swapaxes(U, 1, 2))[i] @ U[j]
 
 
 def hermitian_coords(M: np.ndarray) -> np.ndarray:
-    d = M.shape[0]
+    """Coordinates Tr(B_k M) of Hermitian matrices, (..., d, d) -> (..., d^2)."""
+    d = M.shape[-1]
     iu, ju = np.triu_indices(d, k=1)
-    x = np.empty(d * d)
-    x[:d] = np.real(np.diag(M))
-    x[d::2] = _SQRT2 * np.real(M[iu, ju])
-    x[d + 1 :: 2] = _SQRT2 * np.imag(M[iu, ju])
+    upper = M[..., iu, ju]
+    x = np.empty(M.shape[:-2] + (d * d,))
+    x[..., :d] = np.real(np.diagonal(M, axis1=-2, axis2=-1))
+    x[..., d::2] = _SQRT2 * np.real(upper)
+    x[..., d + 1 :: 2] = _SQRT2 * np.imag(upper)
     return x
 
 
-def _functional_coords(G: np.ndarray) -> np.ndarray:
-    """Coordinates of the functional M -> Tr(G M): entry k is Tr(G B_k)."""
-    d = G.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
-    c = np.empty(d * d, dtype=np.complex128)
-    c[:d] = np.diag(G)
-    c[d::2] = (G[ju, iu] + G[iu, ju]) / _SQRT2
-    c[d + 1 :: 2] = 1j * (G[ju, iu] - G[iu, ju]) / _SQRT2
-    return c
-
-
 def constraint_matrix(s: UnitarySet) -> np.ndarray:
-    """Real constraint rows (Re and Im of M -> Tr(U_i M U_j^dag), i < j).
+    """Real constraint rows (Re and Im of M -> Tr(U_i M U_j^dag), i < j), interleaved.
 
-    The (j, i) functionals are conjugates on Hermitian arguments and are
-    dropped.
+    Tr(U_i M U_j^dag) = Tr(W^dag M) with W = U_i^dag U_j; on Hermitian M its
+    real and imaginary parts are Tr(H M) and Tr(K M) for the Hermitian parts
+    H = (W^dag + W)/2 and K = (W^dag - W)/2i.  The (j, i) functionals are
+    conjugates on Hermitian arguments and are dropped.
     """
-    rows = []
-    for i, j in combinations(range(len(s)), 2):
-        G = s.members[j].conj().T @ s.members[i]  # Tr(U_i M U_j^dag) = Tr(G M)
-        c = _functional_coords(G)
-        rows.append(c.real)
-        rows.append(c.imag)
-    return np.array(rows)
+    W = pair_operators(s)
+    Wd = np.conj(np.swapaxes(W, 1, 2))
+    parts = np.stack([(Wd + W) / 2, (Wd - W) / 2j], axis=1)  # (P, 2, d, d)
+    return hermitian_coords(parts).reshape(-1, s.d * s.d)
 
 
 @dataclass(frozen=True)
@@ -199,10 +204,9 @@ def hermitian_feasible_subspace(s: UnitarySet) -> FeasibleSubspace:
     """Row space of the pairwise trace constraints, from one thin SVD.
 
     Rank uses a singular-value cutoff RANK_RTOL relative to the largest
-    singular value; dim(S) = d^2 - rank by construction.
+    singular value; dim(S) = d^2 - rank by construction.  Needs two or more
+    unitaries (pair_operators raises otherwise).
     """
-    if len(s) < 2:
-        raise ValueError("feasible subspace needs at least two unitaries")
     _, sv, vt = np.linalg.svd(constraint_matrix(s), full_matrices=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0]))
     return FeasibleSubspace(s.d, s, vt[:rank], rank)
@@ -224,29 +228,22 @@ def _check_block_rows(d: int, block_rows) -> tuple:
     return tuple(sorted(rows))
 
 
-def traceless_block_functionals(d: int, block_rows) -> list:
+def traceless_block_functionals(d: int, block_rows) -> np.ndarray:
     """Orthonormal Hermitian matrices spanning the traceless directions of a block.
 
-    Order: for each row pair p < q the symmetric then antisymmetric element,
-    followed by the k-1 traceless diagonal combinations.  For a 2-row block
-    this is (up to normalization) the X-, Y- and Z-like direction.
+    A (k^2 - 1, d, d) stack.  Order: for each row pair p < q the symmetric
+    then antisymmetric element, followed by the k-1 traceless diagonal
+    combinations.  For a 2-row block this is (up to normalization) the X-,
+    Y- and Z-like direction.
     """
     rows = _check_block_rows(d, block_rows)
-    out = []
-    for a, b in combinations(rows, 2):
-        H = np.zeros((d, d), dtype=np.complex128)
-        H[a, b] = H[b, a] = 1.0 / _SQRT2
-        out.append(H)
-        H = np.zeros((d, d), dtype=np.complex128)
-        H[a, b] = 1j / _SQRT2
-        H[b, a] = -1j / _SQRT2
-        out.append(H)
-    for t in range(1, len(rows)):
-        H = np.zeros((d, d), dtype=np.complex128)
-        for a in range(t):
-            H[rows[a], rows[a]] = 1.0
-        H[rows[t], rows[t]] = -t
-        out.append(H / np.sqrt(t * (t + 1)))
+    k = len(rows)
+    out = np.zeros((k * k - 1, d, d), dtype=np.complex128)
+    for n, (a, b) in enumerate(combinations(rows, 2)):
+        out[2 * n, [a, b], [b, a]] = 1.0 / _SQRT2
+        out[2 * n + 1, [a, b], [b, a]] = (1j / _SQRT2, -1j / _SQRT2)
+    for t in range(1, k):
+        out[k * (k - 1) + t - 1, rows[: t + 1], rows[: t + 1]] = np.append(np.ones(t), -t) / np.sqrt(t * (t + 1))
     return out
 
 
@@ -285,23 +282,16 @@ def unitaries_hash(s: UnitarySet) -> str:
 
 def _membership_residuals(A: np.ndarray, d: int, rows) -> list:
     """Least-squares distance of each block functional from the span of A's rows."""
-    At = A.T
-    residuals = []
-    for H in traceless_block_functionals(d, rows):
-        h = _functional_coords(H).real
-        x, *_ = np.linalg.lstsq(At, h, rcond=None)
-        residuals.append(float(np.linalg.norm(At @ x - h)))
-    return residuals
+    h = hermitian_coords(traceless_block_functionals(d, rows)).T
+    x, *_ = np.linalg.lstsq(A.T, h, rcond=None)
+    return np.linalg.norm(A.T @ x - h, axis=0).tolist()
 
 
 def _projection_residuals(S: FeasibleSubspace, rows) -> list:
     """Distance ||h - Q^T Q h|| of each block functional h from the row space Q."""
     Q = S.row_basis
-    residuals = []
-    for H in traceless_block_functionals(S.d, rows):
-        h = _functional_coords(H).real
-        residuals.append(float(np.linalg.norm(h - Q.T @ (Q @ h))))
-    return residuals
+    h = hermitian_coords(traceless_block_functionals(S.d, rows)).T
+    return np.linalg.norm(h - Q.T @ (Q @ h), axis=0).tolist()
 
 
 def _block_coordinates(d: int, rows) -> list:
@@ -317,7 +307,7 @@ def _screen_rejects(S: FeasibleSubspace, rows) -> bool:
     residual) above _SCREEN_TOL; the sparse h reads only a few columns of Q."""
     Q = S.row_basis
     coords = _block_coordinates(S.d, rows)
-    return any(c @ c - np.sum((Q[:, i] @ c) ** 2) > _SCREEN_TOL for i, c in coords)
+    return any(not c @ c - np.sum((Q[:, i] @ c) ** 2) <= _SCREEN_TOL for i, c in coords)
 
 
 def block_identity_prover(S: FeasibleSubspace, block_rows):
@@ -326,7 +316,7 @@ def block_identity_prover(S: FeasibleSubspace, block_rows):
     if _screen_rejects(S, rows):  # a certifiable block loses at most 1e-16 plus rounding
         return None
     residuals = _projection_residuals(S, rows)
-    if max(residuals) >= BLOCK_TOL:
+    if not max(residuals) < BLOCK_TOL:
         return None
     return BlockCertificate(
         d=S.d,
@@ -443,6 +433,8 @@ def _verify_block(cert: BlockCertificate, s: UnitarySet):
         return False, "unitaries hash mismatch: certificate was issued for a different set"
     if not cert.rank_one_reduction:
         return False, "certificate does not record the rank-one measurement reduction"
+    if not cert.tolerance <= BLOCK_TOL:
+        return False, f"tolerance {cert.tolerance:.3e} is above {BLOCK_TOL:.1e}"
     try:
         rows = _check_block_rows(s.d, cert.block_rows)
     except ValueError as exc:
@@ -451,9 +443,9 @@ def _verify_block(cert: BlockCertificate, s: UnitarySet):
     if len(residuals) != len(cert.forced_functional_residuals):
         return False, "residual count mismatch"
     for k, (rec, stored) in enumerate(zip(residuals, cert.forced_functional_residuals)):
-        if rec >= cert.tolerance:
+        if not rec < cert.tolerance:
             return False, f"functional {k} recomputes to residual {rec:.3e} >= tolerance"
-        if abs(rec - stored) > 1e-10:
+        if not abs(rec - stored) <= 1e-10:
             return False, f"functional {k} stored residual {stored:.3e} != recomputed {rec:.3e}"
     return True, "ok"
 

@@ -43,6 +43,9 @@ def check_dimension(d) -> int:
 
 def check_index(d: int, p) -> PauliIndex:
     m, n = p
+    integers = isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))
+    if not integers or isinstance(m, bool) or isinstance(n, bool):
+        raise ValueError(f"index {(m, n)!r} must be a pair of integers")
     if not (0 <= m < d and 0 <= n < d):
         raise ValueError(f"index {(m, n)} out of range for dimension {d}")
     return PauliIndex(int(m), int(n))
@@ -117,14 +120,3 @@ def all_indices(d) -> list[PauliIndex]:
     d = check_dimension(d)
     return [PauliIndex(m, n) for m in range(d) for n in range(d)]
 
-
-def phased_to_json(p: PhasedPauli) -> dict:
-    return {"phase": int(p.phase), "index": [int(p.index.m), int(p.index.n)]}
-
-
-def phased_from_json(obj) -> PhasedPauli:
-    try:
-        m, n = obj["index"]
-        return PhasedPauli(int(obj["phase"]), PauliIndex(int(m), int(n)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed phased-Pauli object: {obj!r}") from exc

@@ -39,6 +39,7 @@ from .certify import (
     fourier_cover_prover,
     hermitian_coords,
     hermitian_feasible_subspace,
+    pair_operators,
     scan_blocks,
     verify_certificate,
 )
@@ -103,29 +104,17 @@ class Witness:
 
 @dataclass(frozen=True)
 class Povm:
-    """Weighted rank-one elements (weight, unit vector) on the measuring side."""
+    """Rank-one elements m_k |phi_k><phi_k| on the measuring side.
 
-    elements: tuple
+    weights is the (K,) array of m_k, vectors the (K, d) array whose row k
+    is the unit vector phi_k.
+    """
+
+    weights: np.ndarray
+    vectors: np.ndarray
 
     def __len__(self):
-        return len(self.elements)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.elements])
-
-    @property
-    def vectors(self) -> list:
-        return [v for _, v in self.elements]
-
-
-def pair_operators(s: UnitarySet) -> np.ndarray:
-    """Stacked W_p = U_i^dag U_j for i < j, contiguous for the kernels."""
-    n = len(s)
-    if n < 2:
-        raise ValueError("distinguishability needs at least two states")
-    ops = [s.members[i].conj().T @ s.members[j] for i in range(n) for j in range(i + 1, n)]
-    return np.ascontiguousarray(np.stack(ops))
+        return len(self.weights)
 
 
 def penalty(alpha: np.ndarray, s: UnitarySet):
@@ -137,7 +126,7 @@ def penalty(alpha: np.ndarray, s: UnitarySet):
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
     if alpha.shape != (s.d,):
         raise ValueError(f"expected a vector of length {s.d}, got {alpha.shape}")
-    if abs(np.linalg.norm(alpha) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-10:
         raise ValueError("penalty requires a unit vector")
     W = pair_operators(s)
     Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
@@ -261,10 +250,13 @@ def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect
 # ---------------------------------------------------------------------------
 
 
-def _merge_up_to_phase(vectors, weights):
-    """Collapse vectors equal up to a global phase, accumulating weights in order:
-    each new representative claims every later unclaimed match in one matvec."""
-    V, w = np.array(vectors), np.asarray(weights, dtype=float)
+def _merge_up_to_phase(V, weights):
+    """Collapse rows of V equal up to a global phase, accumulating weights in order.
+
+    Returns the index of each class's first row and the class weights; each
+    new representative claims every later unclaimed match in one matvec.
+    """
+    w = np.asarray(weights, dtype=float)
     free = np.ones(len(V), dtype=bool)
     reps, acc = [], []
     for k in range(len(V)):
@@ -272,9 +264,9 @@ def _merge_up_to_phase(vectors, weights):
             claim = free[k:] & (np.abs(np.einsum("kd,d->k", V[k:], np.conj(V[k]))) > 1.0 - _MERGE_TOL)
             claim[0] = True
             free[k:] &= ~claim
-            reps.append(vectors[k])
-            acc.append(float(np.cumsum(w[k:][claim])[-1]))
-    return reps, acc
+            reps.append(k)
+            acc.append(np.cumsum(w[k:][claim])[-1])
+    return np.array(reps), np.array(acc)
 
 
 def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
@@ -286,21 +278,21 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
     phase-equal duplicates merged.
     """
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
-    vecs = [np.conj(to_matrix(d, p) @ alpha) for p in all_indices(d)]
-    reps, acc = _merge_up_to_phase(vecs, [1.0 / d] * (d * d))
-    return Povm(tuple((float(w), v) for w, v in zip(acc, reps)))
+    V = np.conj([to_matrix(d, p) @ alpha for p in all_indices(d)])
+    reps, acc = _merge_up_to_phase(V, np.full(d * d, 1.0 / d))
+    return Povm(acc, V[reps])
 
 
 def povm_identity_residual(p: Povm, d: int) -> float:
     """Max-entry deviation of sum_k m_k |phi_k><phi_k| from the identity."""
-    V = np.array(p.vectors)
+    V = p.vectors
     acc = np.einsum("k,kd,ke->de", p.weights, V, np.conj(V)) - np.eye(d)
     return float(np.max(np.abs(acc)))
 
 
 def povm_orthogonality_residual(p: Povm, s: UnitarySet) -> float:
     """Largest |<conj(phi_k)| U_i^dag U_j |conj(phi_k)>| over elements and pairs."""
-    B = np.conj(np.array(p.vectors))
+    B = np.conj(p.vectors)
     g = np.einsum("pde,ke,kd->pk", pair_operators(s), B, np.conj(B))  # (pairs, K)
     return float(np.max(np.abs(g)))
 
@@ -326,22 +318,18 @@ def povm_completion(
     if s.tag is not None:
         povm = orbit_povm(s.d, w.alpha)
     else:
-        pool = [np.asarray(w.alpha)]
-        for res, alpha in extra_witnesses:
-            if res < success_tol:
-                pool.append(np.asarray(alpha))
-        vecs, _ = _merge_up_to_phase(pool, [0.0] * len(pool))
-        phis = [np.conj(v) for v in vecs]
-        cols = np.column_stack([hermitian_coords(np.outer(v, np.conj(v))) for v in phis])
-        target = hermitian_coords(np.eye(s.d, dtype=np.complex128))
-        weights, _ = nnls(cols, target)
-        elements = tuple((float(wt), v) for wt, v in zip(weights, phis) if wt > 1e-12)
-        if not elements:
+        pool = np.array([w.alpha] + [alpha for res, alpha in extra_witnesses if res < success_tol])
+        reps, _ = _merge_up_to_phase(pool, np.zeros(len(pool)))
+        phis = np.conj(pool[reps])
+        cols = hermitian_coords(phis[:, :, None] * np.conj(phis)[:, None, :]).T
+        weights, _ = nnls(cols, hermitian_coords(np.eye(s.d, dtype=np.complex128)))
+        keep = weights > 1e-12
+        if not keep.any():
             return None
-        povm = Povm(elements)
-    if povm_identity_residual(povm, s.d) >= identity_tol:
+        povm = Povm(weights[keep], phis[keep])
+    if not povm_identity_residual(povm, s.d) < identity_tol:
         return None
-    if povm_orthogonality_residual(povm, s) >= ELEMENT_ORTHO_TOL:
+    if not povm_orthogonality_residual(povm, s) < ELEMENT_ORTHO_TOL:
         return None
     return povm
 
@@ -360,7 +348,7 @@ def _answer_table(s: UnitarySet, povm: Povm):
     holds the leftover (below 1e-16) and answers leftover[k], the first
     rejected state, or -1 (always wrong) when none was rejected.
     """
-    b = np.conj(np.array(povm.vectors))  # (K, d)
+    b = np.conj(povm.vectors)  # (K, d)
     cand = np.einsum("ide,ke->kid", np.array(s.members), b)  # (K, n, d): U_i b_k
     basis = np.zeros_like(cand)
     leftover = np.full(len(b), -1)
@@ -390,13 +378,13 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
     if trials < 1:
         raise ValueError("trials must be >= 1")
     weights = povm.weights
-    if weights.size == 0 or np.any(weights <= 0):
+    if weights.size == 0 or not np.all(weights > 0):
         raise ValueError("POVM weights must be positive")
-    for k, v in enumerate(povm.vectors):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise ValueError(f"POVM vector {k} is not unit length")
+    bad = np.flatnonzero(~(np.abs(np.linalg.norm(povm.vectors, axis=1) - 1.0) <= 1e-10))
+    if bad.size:
+        raise ValueError(f"POVM vector {bad[0]} is not unit length")
     res = povm_identity_residual(povm, s.d)
-    if res >= IDENTITY_TOL:
+    if not res < IDENTITY_TOL:
         raise ValueError(f"POVM does not resolve the identity (residual {res:.3e})")
 
     conf, leftover = _answer_table(s, povm)

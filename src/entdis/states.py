@@ -36,6 +36,9 @@ DEFAULT_GAMMA = complex(np.exp(1j * np.pi / 4))
 class UnitarySet:
     """An ordered set of d x d defining unitaries, optionally Pauli-tagged.
 
+    members are read-only views into one (N, d, d) complex array.  Validation
+    rejects non-finite entries and names the lowest-index member that is not
+    unitary, then the first pair (i, j), i < j, with Tr(U_i^dag U_j) != 0.
     tag, when present, lists the (m, n) label of each member; phases of the
     members relative to the bare U_{mn} are irrelevant to every consumer
     (only index differences enter the distinguishability machinery).
@@ -47,41 +50,38 @@ class UnitarySet:
 
     def __post_init__(self):
         d = check_dimension(self.d)
-        members = tuple(np.asarray(U, dtype=np.complex128) for U in self.members)
-        if len(members) < 1:
+        if len(self.members) < 1:
             raise ValueError("a unitary set needs at least one member")
-        eye = np.eye(d)
-        for k, U in enumerate(members):
-            if U.shape != (d, d):
-                raise ValueError(f"member {k} has shape {U.shape}, expected {(d, d)}")
-            err = np.max(np.abs(U.conj().T @ U - eye))
-            if err > UNITARY_TOL:
-                raise ValueError(f"member {k} is not unitary (deviation {err:.2e})")
-            U.setflags(write=False)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                tr = np.trace(members[i].conj().T @ members[j])
-                if abs(tr) > ORTHO_TOL:
-                    raise ValueError(
-                        f"members {i} and {j} are not trace-orthogonal "
-                        f"(|Tr| = {abs(tr):.2e}); the defined states are not "
-                        "mutually orthogonal"
-                    )
+        for k, U in enumerate(self.members):
+            if np.shape(U) != (d, d):
+                raise ValueError(f"member {k} has shape {np.shape(U)}, expected {(d, d)}")
+        M = np.array(self.members, dtype=np.complex128)
+        M.setflags(write=False)
+        with np.errstate(invalid="ignore"):  # inf entries give nan deviations, rejected below
+            err = np.max(np.abs(np.conj(np.swapaxes(M, 1, 2)) @ M - np.eye(d)), axis=(1, 2))
+        bad = np.flatnonzero(~(err <= UNITARY_TOL))
+        if bad.size:
+            raise ValueError(f"member {bad[0]} is not unitary (deviation {err[bad[0]]:.2e})")
+        gram = np.abs(np.einsum("iab,jab->ij", np.conj(M), M))  # |Tr(U_i^dag U_j)|
+        gram[np.tril_indices(len(M))] = 0.0
+        bad = np.argwhere(~(gram <= ORTHO_TOL))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"members {i} and {j} are not trace-orthogonal (|Tr| = {gram[i, j]:.2e}); "
+                "the defined states are not mutually orthogonal"
+            )
         tag = self.tag
         if tag is not None:
             tag = tuple(check_index(d, p) for p in tag)
-            if len(tag) != len(members):
+            if len(tag) != len(M):
                 raise ValueError("tag length does not match member count")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "members", tuple(M))
         object.__setattr__(self, "tag", tag)
 
     def __len__(self):
         return len(self.members)
-
-    def stack(self) -> np.ndarray:
-        """Members as one (N, d, d) contiguous array."""
-        return np.ascontiguousarray(np.stack(self.members))
 
 
 def bell_set(d, indices) -> UnitarySet:
@@ -160,13 +160,13 @@ class Theorem2Spec:
             raise ValueError(f"block construction needs odd d >= 7, got {d}")
         for name in ("omega", "gamma", "sigma"):
             z = complex(getattr(self, name))
-            if abs(abs(z) - 1.0) > self.PHASE_TOL:
+            if not abs(abs(z) - 1.0) <= self.PHASE_TOL:
                 raise ValueError(f"{name} must be a unit-modulus phase, got {z}")
             object.__setattr__(self, name, z)
         gbar = np.conj(self.gamma)
         wbar2 = np.conj(self.omega) ** 2
         margin = min(abs(gbar - 1j * wbar2), abs(gbar + 1j * wbar2))
-        if margin <= self.GAMMA_MARGIN:
+        if not margin > self.GAMMA_MARGIN:
             raise ValueError(
                 f"gamma violates the phase condition conj(gamma) != +-i*conj(omega)^2 "
                 f"(distance {margin:.2e})"
@@ -244,7 +244,7 @@ def check_maximally_entangled(d, vec) -> bool:
     if vec.shape != (d * d,):
         raise ValueError(f"expected a vector of length {d * d}, got {vec.shape}")
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise ValueError(f"state vector must have unit norm, got {nrm}")
     sv = np.linalg.svd(vec.reshape(d, d), compute_uv=False)
     return bool(np.max(np.abs(sv - 1.0 / np.sqrt(d))) < 1e-8)

@@ -7,8 +7,9 @@ import pytest
 
 from entdis.certify import (
     BLOCK_TOL,
+    BlockCertificate,
+    _SQRT2,
     _block_coordinates,
-    _functional_coords,
     _membership_residuals,
     _projection_residuals,
     _screen_rejects,
@@ -20,6 +21,7 @@ from entdis.certify import (
     fourier_cover_prover,
     hermitian_coords,
     hermitian_feasible_subspace,
+    pair_operators,
     scan_blocks,
     traceless_block_functionals,
     unitaries_hash,
@@ -119,6 +121,73 @@ def test_hermitian_coords_round_trip():
         assert abs(np.dot(x, x) - np.real(np.trace(M @ M))) < 1e-10
 
 
+def test_hermitian_coords_of_a_stack_are_per_matrix_coords():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    M = A + np.conj(np.swapaxes(A, -1, -2))
+    x = hermitian_coords(M)
+    assert x.shape == (2, 3, 16)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(x[idx], hermitian_coords(M[idx]))
+
+
+# Reference implementations: the per-pair loops that pair_operators and
+# constraint_matrix replace.
+
+
+def reference_functional_coords(G):
+    """Coordinates of the functional M -> Tr(G M): entry k is Tr(G B_k)."""
+    d = G.shape[0]
+    iu, ju = np.triu_indices(d, k=1)
+    c = np.empty(d * d, dtype=np.complex128)
+    c[:d] = np.diag(G)
+    c[d::2] = (G[ju, iu] + G[iu, ju]) / _SQRT2
+    c[d + 1 :: 2] = 1j * (G[ju, iu] - G[iu, ju]) / _SQRT2
+    return c
+
+
+def reference_constraint_matrix(s):
+    rows = []
+    for i, j in combinations(range(len(s)), 2):
+        c = reference_functional_coords(s.members[j].conj().T @ s.members[i])
+        rows.append(c.real)
+        rows.append(c.imag)
+    return np.array(rows)
+
+
+def reference_pair_operators(s):
+    n = len(s)
+    ops = [s.members[i].conj().T @ s.members[j] for i in range(n) for j in range(i + 1, n)]
+    return np.ascontiguousarray(np.stack(ops))
+
+
+def pairwise_cases():
+    rng = np.random.default_rng(41)
+    return [
+        UnitarySet(2, (I2, X2, Z2)),
+        theorem2_set(Theorem2Spec(7)),
+        bell_set(5, [(0, 0), (1, 2)]),
+        random_untagged_pair(4, rng),
+    ]
+
+
+def test_constraint_matrix_matches_per_pair_reference():
+    for s in pairwise_cases():
+        A = constraint_matrix(s)
+        ref = reference_constraint_matrix(s)
+        assert A.shape == ref.shape == (len(s) * (len(s) - 1), s.d * s.d)
+        assert np.max(np.abs(A - ref)) <= 1e-15
+
+
+def test_pair_operators_equal_per_pair_loop():
+    for s in pairwise_cases() + [theorem1_set(9)]:
+        W = pair_operators(s)
+        assert W.flags.c_contiguous
+        assert np.array_equal(W, reference_pair_operators(s))
+    with pytest.raises(ValueError):
+        pair_operators(UnitarySet(2, (I2,)))
+
+
 def test_feasible_subspace_identity_z():
     fs = hermitian_feasible_subspace(UnitarySet(2, (I2, Z2)))
     assert fs.constraint_rank == 1
@@ -210,7 +279,7 @@ def test_block_coordinates_match_dense_functionals():
         for H, (idx, coef) in zip(fns, sparse):
             h = np.zeros(d * d)
             h[idx] = coef
-            assert np.max(np.abs(h - _functional_coords(H).real)) < 1e-15
+            assert np.max(np.abs(h - hermitian_coords(H))) < 1e-15
 
 
 def test_unitaries_hash_matches_canonical_json():
@@ -321,6 +390,24 @@ def test_verify_block_certificate_tamper_detection():
     other = theorem2_set(Theorem2Spec(9))
     ok, reason = verify_certificate_detailed(cert, other)
     assert not ok
+
+
+def test_verify_block_certificate_refuses_raised_or_nan_tolerance():
+    # a certificate states its own tolerance; one above BLOCK_TOL (or NaN)
+    # would let the true residuals of an unforced block verify
+    s = bell_set(5, [(0, 0), (1, 2)])
+    residuals = tuple(_membership_residuals(constraint_matrix(s), s.d, (0, 1)))
+    assert max(residuals) > BLOCK_TOL
+    nan = float("nan")
+    for tol, stored in ((1.0, residuals), (nan, residuals), (nan, (nan,) * 3)):
+        forged = BlockCertificate(5, (0, 1), stored, tol, unitaries_hash(s))
+        ok, reason = verify_certificate_detailed(forged, s)
+        assert not ok and "tolerance" in reason
+
+    t2 = theorem2_set(Theorem2Spec(7))
+    cert = block_identity_prover(hermitian_feasible_subspace(t2), (0, 1))
+    ok, reason = verify_certificate_detailed(dataclasses.replace(cert, forced_functional_residuals=(nan,) * 3), t2)
+    assert not ok and "stored residual" in reason
 
 
 def test_certificate_json_round_trips():

@@ -104,6 +104,21 @@ def test_decide_rejects_bad_files(tmp_path):
     assert run(["decide", bad]) == 2
 
 
+def test_decide_rejects_non_finite_members(tmp_path, capsys):
+    sf = tmp_path / "nan.json"
+    nan_member = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    sf.write_text(json.dumps({"d": 2, "type": "explicit", "unitaries": [matrix_to_json(np.eye(2)), nan_member]}))
+    assert run(["decide", sf]) == 2
+    assert "member 1 is not unitary" in capsys.readouterr().err
+
+
+def test_decide_rejects_non_integer_labels(tmp_path, capsys):
+    sf = tmp_path / "labels.json"
+    sf.write_text(json.dumps({"d": 4, "type": "generalized_bell", "indices": [[0.9, 0], [1.5, 0]]}))
+    assert run(["decide", sf]) == 2
+    assert "pair of integers" in capsys.readouterr().err
+
+
 def test_certify_and_verify_round_trip(tmp_path):
     sf = tmp_path / "set.json"
     run(["gen", "theorem1", "--d", 9, "--output", sf])

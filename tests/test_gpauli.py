@@ -12,9 +12,8 @@ from entdis.gpauli import (
     adjoint_product,
     all_indices,
     apply,
+    check_index,
     omega,
-    phased_from_json,
-    phased_to_json,
     to_matrix,
     transpose_index,
 )
@@ -163,9 +162,9 @@ def test_dimension_validation():
         adjoint_product(3, PauliIndex(3, 0), PauliIndex(0, 0))
 
 
-def test_phased_json_round_trip():
-    p = PhasedPauli(3, PauliIndex(1, 2))
-    assert phased_to_json(p) == {"phase": 3, "index": [1, 2]}
-    assert phased_from_json(phased_to_json(p)) == p
-    with pytest.raises(ValueError):
-        phased_from_json({"phase": 1})
+def test_check_index_accepts_only_integers():
+    assert check_index(4, (np.int64(3), 1)) == PauliIndex(3, 1)
+    assert type(check_index(4, (np.int64(3), 1)).m) is int
+    for p in ((0.9, 0), (1.5, 0), (1, 2.0), (True, 0), (0, False), ("1", 0), (None, 0)):
+        with pytest.raises(ValueError, match="pair of integers"):
+            check_index(4, p)

@@ -180,6 +180,58 @@ def test_unitary_set_validation():
         UnitarySet(2, (np.eye(3),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_unitary_set_rejects_non_finite_members(bad):
+    for where in ((0, 0), (0, 1)):
+        U = np.eye(2, dtype=complex)
+        U[where] = bad
+        with pytest.raises(ValueError, match="member 1 is not unitary"):
+            UnitarySet(2, (np.eye(2), U))
+        with pytest.raises(ValueError, match="member 0 is not unitary"):
+            UnitarySet(2, (U,))
+
+
+def test_theorem2_rejects_non_finite_phases():
+    for kwargs in ({"omega": np.nan}, {"gamma": complex(np.nan, 0.0)}, {"sigma": np.inf}, {"omega": complex(1.0, np.nan)}):
+        with pytest.raises(ValueError, match="unit-modulus"):
+            Theorem2Spec(7, **kwargs)
+
+
+def reference_validation_error(d, members):
+    """What the old per-member and per-pair loops named first, or None."""
+    members = [np.asarray(U, dtype=np.complex128) for U in members]
+    for k, U in enumerate(members):
+        if np.max(np.abs(U.conj().T @ U - np.eye(d))) > 1e-10:
+            return f"member {k} is not unitary"
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if abs(np.trace(members[i].conj().T @ members[j])) > 1e-10:
+                return f"members {i} and {j} are not trace-orthogonal"
+    return None
+
+
+def test_validation_names_the_same_member_or_pair_as_the_loops():
+    rng = np.random.default_rng(43)
+    V, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    P = [V @ to_matrix(5, PauliIndex(m, n)) for m, n in ((0, 0), (1, 0), (2, 3), (4, 1))]
+    nonunitary = [P[0], P[1], 1.001 * P[2], 0.5 * P[3], P[1]]
+    nonorthogonal = [P[0], P[1], P[2], np.exp(0.7j) * P[1], P[2]]
+    for members, want in ((nonunitary, "member 2 is not unitary"), (nonorthogonal, "members 1 and 3 are not trace-orthogonal")):
+        assert reference_validation_error(5, members) == want
+        with pytest.raises(ValueError) as exc:
+            UnitarySet(5, tuple(members))
+        assert str(exc.value).startswith(want + " (")
+    assert reference_validation_error(5, P) is None
+    assert len(UnitarySet(5, tuple(P))) == 4
+
+
+def test_set_from_dict_rejects_non_integer_labels():
+    for indices in ([[0.9, 0], [1.5, 0]], [[True, 0], [0, 1]], [[0, 0], [1, 2.0]]):
+        with pytest.raises(ValueError, match="pair of integers"):
+            set_from_dict({"d": 4, "type": "generalized_bell", "indices": indices})
+    assert set_from_dict({"d": 4, "type": "generalized_bell", "indices": [[0, 0], [1, 0]]}).tag == ((0, 0), (1, 0))
+
+
 def test_set_dict_round_trips():
     s = bell_set(3, [(0, 0), (1, 2)])
     doc = set_to_dict(s)
