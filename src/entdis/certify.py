@@ -37,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gpauli import check_dimension, check_index
+from .gpauli import check_dimension, check_index, is_integer
 from .serialize import sha256_hex
 from .states import UnitarySet
 from .version import __version__
@@ -217,8 +217,14 @@ def hermitian_feasible_subspace(s: UnitarySet) -> FeasibleSubspace:
 # ---------------------------------------------------------------------------
 
 
+def _integer(x) -> int:
+    if not is_integer(x):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def _check_block_rows(d: int, block_rows) -> tuple:
-    rows = tuple(int(r) for r in block_rows)
+    rows = tuple(_integer(r) for r in block_rows)
     if len(rows) < 2:
         raise ValueError("block needs at least two rows")
     if len(set(rows)) != len(rows):
@@ -376,18 +382,18 @@ def certificate_from_dict(doc) -> CoverCertificate | BlockCertificate:
             num, den = doc["uniform_modulus"]
             indices = doc.get("indices")
             return CoverCertificate(
-                d=int(doc["d"]),
-                shift0_frequencies=frozenset(int(f) for f in doc["shift0_frequencies"]),
-                witness_shift=int(doc["witness_shift"]),
-                shiftN_frequencies=frozenset(int(f) for f in doc["shiftN_frequencies"]),
-                uniform_modulus=Fraction(int(num), int(den)),
-                indices=None if indices is None else tuple((int(p[0]), int(p[1])) for p in indices),
+                d=_integer(doc["d"]),
+                shift0_frequencies=frozenset(_integer(f) for f in doc["shift0_frequencies"]),
+                witness_shift=_integer(doc["witness_shift"]),
+                shiftN_frequencies=frozenset(_integer(f) for f in doc["shiftN_frequencies"]),
+                uniform_modulus=Fraction(_integer(num), _integer(den)),
+                indices=None if indices is None else tuple((_integer(p[0]), _integer(p[1])) for p in indices),
                 tool_version=str(doc.get("tool_version", "")),
             )
         if kind == "forced_block":
             return BlockCertificate(
-                d=int(doc["d"]),
-                block_rows=tuple(int(r) for r in doc["block_rows"]),
+                d=_integer(doc["d"]),
+                block_rows=tuple(_integer(r) for r in doc["block_rows"]),
                 forced_functional_residuals=tuple(float(r) for r in doc["forced_functional_residuals"]),
                 tolerance=float(doc["tolerance"]),
                 unitaries_sha256=str(doc["unitaries_sha256"]),

@@ -8,18 +8,20 @@ byte-identical output; human-readable summaries go to stderr.
 decide, certify, simulate and sweep share the pipeline stages of
 entdis.search: certify_direction (forced-block residuals are distances
 from the row space of the constraint matrix, by projection) and
-run_protocol.
+run_protocol.  Option defaults are the library's (OptimizerConfig,
+SIMULATION_TRIALS, Theorem2Spec), and gen writes the document of
+entdis.states.set_to_dict, naming the theorem family where there is one.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
 
 from .certify import certificate_from_dict, certificate_to_dict, verify_certificate_detailed
 from .search import (
+    SIMULATION_TRIALS,
     OptimizerConfig,
     certify_direction,
     decide,
@@ -28,24 +30,19 @@ from .search import (
     run_protocol,
     witness_search,
 )
-from .serialize import (
-    canonical_json,
-    complex_to_pair,
-    matrix_from_json,
-    matrix_to_json,
-    sha256_hex,
-)
+from .serialize import canonical_json, complex_to_pair, sha256_hex
 from .states import (
     Theorem2Spec,
-    UnitarySet,
     bell_set,
     set_from_dict,
-    theorem1_indices,
+    set_to_dict,
     theorem1_set,
     theorem2_set,
     transpose_set,
 )
 from .version import __version__
+
+_PHASES = ("omega", "gamma", "sigma")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -60,6 +57,12 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     return json.loads(raw), sha256_hex(raw)
+
+
+def _load_set(path: str):
+    """The set a set file describes, and the SHA-256 of the file's text."""
+    doc, digest = _load_json(path)
+    return set_from_dict(doc), digest
 
 
 def _parse_complex(text: str) -> complex:
@@ -85,11 +88,15 @@ def _parse_indices(text: str) -> list:
 
 
 def _add_search_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--restarts", type=int, default=64, help="search restarts (default 64)")
-    p.add_argument("--max-iterations", type=int, default=2000, help="Levenberg-Marquardt iterations per restart")
-    p.add_argument("--tol-success", type=float, default=1e-12, help="witness acceptance residual")
-    p.add_argument("--tol-floor", type=float, default=1e-6, help="failure floor residual")
+    cfg = OptimizerConfig()
+    for flag, kind, default, text in (
+        ("--seed", int, cfg.seed, "RNG seed"),
+        ("--restarts", int, cfg.restarts, "search restarts"),
+        ("--max-iterations", int, cfg.max_iterations, "Levenberg-Marquardt iterations per restart"),
+        ("--tol-success", float, cfg.success_tol, "witness acceptance residual"),
+        ("--tol-floor", float, cfg.failure_floor, "failure floor residual"),
+    ):
+        p.add_argument(flag, type=kind, default=default, help=f"{text} (default %(default)s)")
 
 
 def _config(args) -> OptimizerConfig:
@@ -103,44 +110,26 @@ def _config(args) -> OptimizerConfig:
 
 
 def _cmd_gen(args) -> int:
-    d = args.d
+    d, named = args.d, {}  # named: what set_to_dict cannot know, the theorem family
     if args.type == "theorem1":
-        indices = theorem1_indices(d)
-        uset = bell_set(d, indices)
-        doc = {"d": d, "type": "theorem1", "indices": [[p.m, p.n] for p in indices]}
+        uset = theorem1_set(d)
+        named = {"type": "theorem1"}
     elif args.type == "theorem2":
-        spec = Theorem2Spec(
-            d,
-            omega=_parse_complex(args.omega),
-            gamma=_parse_complex(args.gamma),
-            sigma=_parse_complex(args.sigma),
-        )
+        given = {k: _parse_complex(v) for k in _PHASES if (v := getattr(args, k)) is not None}
+        spec = Theorem2Spec(d, **given)
         uset = theorem2_set(spec)
-        doc = {
-            "d": d,
-            "type": "theorem2",
-            "omega": complex_to_pair(spec.omega),
-            "gamma": complex_to_pair(spec.gamma),
-            "sigma": complex_to_pair(spec.sigma),
-            "unitaries": [matrix_to_json(U) for U in uset.members],
-        }
+        named = {"type": "theorem2", **{k: complex_to_pair(getattr(spec, k)) for k in _PHASES}}
     elif args.type == "bell":
         if not args.indices:
             raise ValueError("gen bell needs --indices 'm,n;m,n;...'")
-        indices = _parse_indices(args.indices)
-        uset = bell_set(d, indices)
-        doc = {"d": d, "type": "generalized_bell", "indices": [[m, n] for m, n in indices]}
-    elif args.type == "explicit":
+        uset = bell_set(d, _parse_indices(args.indices))
+    else:
         if not args.unitaries:
             raise ValueError("gen explicit needs --unitaries FILE (JSON list of matrices)")
         rows, _ = _load_json(args.unitaries)
-        members = tuple(matrix_from_json(u, d) for u in rows)
-        uset = UnitarySet(d, members)
-        doc = {"d": d, "type": "explicit", "unitaries": [matrix_to_json(U) for U in uset.members]}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown generator type {args.type!r}")
+        uset = set_from_dict({"d": d, "type": "explicit", "unitaries": rows})
 
-    _write_output(args.output, canonical_json(doc))
+    _write_output(args.output, canonical_json({**set_to_dict(uset), **named}))
     print(
         f"generated {args.type} set: d={d}, {len(uset)} states, "
         "unitarity and pairwise orthogonality verified",
@@ -150,8 +139,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    doc, digest = _load_json(args.set_file)
-    uset = set_from_dict(doc)
+    uset, digest = _load_set(args.set_file)
     dec = decide(uset, _config(args))
     _write_output(args.output, canonical_json(decision_to_dict(dec, input_sha256=digest)))
     for label, verdict in (("A->B", dec.a_to_b), ("B->A", dec.b_to_a)):
@@ -160,8 +148,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    doc, digest = _load_json(args.set_file)
-    uset = set_from_dict(doc)
+    uset, digest = _load_set(args.set_file)
     report = {"tool_version": __version__, "input_sha256": digest, "directions": {}}
     for label, target in (("A_to_B", uset), ("B_to_A", transpose_set(uset))):
         cert = certify_direction(target)
@@ -175,8 +162,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    doc, digest = _load_json(args.set_file)
-    uset = set_from_dict(doc)
+    uset, digest = _load_set(args.set_file)
     cfg = _config(args)
     witness, results = witness_search(uset, cfg, collect=True)
     report = {
@@ -195,8 +181,7 @@ def _cmd_search(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    doc, digest = _load_json(args.set_file)
-    uset = set_from_dict(doc)
+    uset, digest = _load_set(args.set_file)
     cfg = _config(args)
     witness, _, povm, rate = run_protocol(uset, cfg, args.trials)
     report = {
@@ -210,22 +195,24 @@ def _cmd_simulate(args) -> int:
         "success_rate": rate,
     }
     _write_output(args.output, canonical_json(report))
-    if report["success_rate"] is None:
+    if rate is None:
         print("no complete POVM found; nothing to simulate", file=sys.stderr)
     else:
-        print(f"simulated success rate {report['success_rate']}", file=sys.stderr)
+        print(f"simulated success rate {rate}", file=sys.stderr)
     return 0
 
 
 def _sweep_rows(d_min: int, d_max: int) -> list:
     rows = []
     for d in range(d_min, d_max + 1):
-        s = math.isqrt(d - 1) + 1
-        bound = 3 * s - 1
-        half = -(-d // 2) + 2
         uset = theorem1_set(d)
-        found = all(certify_direction(t) is not None for t in (uset, transpose_set(uset)))
-        rows.append((d, bound, half, len(uset), found))
+        rows.append({
+            "d": d,
+            "family_bound": 3 * (math.isqrt(d - 1) + 1) - 1,
+            "half_dim_bound": -(-d // 2) + 2,
+            "generated_size": len(uset),
+            "certified": all(certify_direction(t) is not None for t in (uset, transpose_set(uset))),
+        })
     return rows
 
 
@@ -234,32 +221,18 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"need 4 <= d_min <= d_max, got {args.d_min}..{args.d_max}")
     rows = _sweep_rows(args.d_min, args.d_max)
     if args.format == "json":
-        doc = [
-            {
-                "d": d,
-                "family_bound": bound,
-                "half_dim_bound": half,
-                "generated_size": size,
-                "certified": found,
-            }
-            for d, bound, half, size, found in rows
-        ]
-        _write_output(args.output, canonical_json(doc))
+        _write_output(args.output, canonical_json(rows))
     else:
-        buf = io.StringIO()
-        buf.write("d,family_bound,half_dim_bound,generated_size,certified\n")
-        for d, bound, half, size, found in rows:
-            buf.write(f"{d},{bound},{half},{size},{str(found).lower()}\n")
-        _write_output(args.output, buf.getvalue())
+        # json.dumps spells each cell as in the JSON table: integers and true/false
+        lines = [",".join(rows[0])] + [",".join(json.dumps(v) for v in row.values()) for row in rows]
+        _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_verify(args) -> int:
     cert_doc, _ = _load_json(args.certificate_file)
-    set_doc, _ = _load_json(args.set_file)
-    cert = certificate_from_dict(cert_doc)
-    uset = set_from_dict(set_doc)
-    ok, reason = verify_certificate_detailed(cert, uset)
+    uset, _ = _load_set(args.set_file)
+    ok, reason = verify_certificate_detailed(certificate_from_dict(cert_doc), uset)
     print(("verified" if ok else f"verification failed: {reason}"), file=sys.stderr)
     return 0 if ok else 1
 
@@ -277,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type", choices=["theorem1", "theorem2", "bell", "explicit"])
     p.add_argument("--d", type=int, required=True, help="local dimension")
     p.add_argument("--indices", help="bell: 'm,n;m,n;...'")
-    p.add_argument("--omega", default="1", help="theorem2 phase (re or re,im)")
-    p.add_argument("--gamma", default="0.7071067811865476,0.7071067811865475", help="theorem2 phase")
-    p.add_argument("--sigma", default="1", help="theorem2 phase")
+    for name in _PHASES:
+        default = complex_to_pair(getattr(Theorem2Spec, name))
+        p.add_argument(f"--{name}", help=f"theorem2 phase, re or re,im (default {default[0]!r},{default[1]!r})")
     p.add_argument("--unitaries", help="explicit: JSON file with a list of matrices")
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_gen)
@@ -304,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="search, complete a POVM and simulate the protocol")
     p.add_argument("set_file")
     _add_search_options(p)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=SIMULATION_TRIALS, help="protocol runs (default %(default)s)")
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_simulate)
 

@@ -33,8 +33,13 @@ class PhasedPauli(NamedTuple):
     index: PauliIndex
 
 
+def is_integer(x) -> bool:
+    """True for Python and numpy integers; bools and floats are not labels."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_dimension(d) -> int:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+    if not is_integer(d):
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -43,8 +48,7 @@ def check_dimension(d) -> int:
 
 def check_index(d: int, p) -> PauliIndex:
     m, n = p
-    integers = isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))
-    if not integers or isinstance(m, bool) or isinstance(n, bool):
+    if not (is_integer(m) and is_integer(n)):
         raise ValueError(f"index {(m, n)!r} must be a pair of integers")
     if not (0 <= m < d and 0 <= n < d):
         raise ValueError(f"index {(m, n)} out of range for dimension {d}")

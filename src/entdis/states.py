@@ -16,6 +16,7 @@ from .gpauli import (
     PauliIndex,
     check_dimension,
     check_index,
+    phase_table,
     to_matrix,
     transpose_index,
 )
@@ -39,9 +40,10 @@ class UnitarySet:
     members are read-only views into one (N, d, d) complex array.  Validation
     rejects non-finite entries and names the lowest-index member that is not
     unitary, then the first pair (i, j), i < j, with Tr(U_i^dag U_j) != 0.
-    tag, when present, lists the (m, n) label of each member; phases of the
-    members relative to the bare U_{mn} are irrelevant to every consumer
-    (only index differences enter the distinguishability machinery).
+    tag, when present, lists the (m, n) label of each member, and each
+    tagged member must be c U_{mn} for a unit c: its entries at
+    ((j + n) mod d, j) are c w^{mj}.  The phases c are irrelevant to every
+    consumer (only index differences enter the distinguishability machinery).
     """
 
     d: int
@@ -76,6 +78,17 @@ class UnitarySet:
             tag = tuple(check_index(d, p) for p in tag)
             if len(tag) != len(M):
                 raise ValueError("tag length does not match member count")
+            # c[k, j] = U_k[(j + n) mod d, j] w^{-mj} is one unit c iff U_k = c U_mn (U_k is unitary)
+            m, n = np.array(tag).T[:, :, None]
+            j = np.arange(d)
+            c = M[np.arange(len(M))[:, None], (j + n) % d, j] * phase_table(d)[(-m * j) % d]
+            err = np.max(np.abs(c - c[:, :1]), axis=1) + np.abs(np.abs(c[:, 0]) - 1.0)
+            bad = np.flatnonzero(~(err <= UNITARY_TOL))
+            if bad.size:
+                k = bad[0]
+                raise ValueError(
+                    f"member {k} is not a unit multiple of U_{tuple(tag[k])} (deviation {err[k]:.2e})"
+                )
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "members", tuple(M))
         object.__setattr__(self, "tag", tag)

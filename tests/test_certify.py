@@ -430,6 +430,27 @@ def test_certificate_json_round_trips():
         certificate_from_dict({"kind": "forced_block"})
 
 
+def test_certificate_fields_must_be_integers():
+    # int() used to truncate these; both forgeries verified as (True, 'ok')
+    t2 = theorem2_set(Theorem2Spec(7))
+    cover = certificate_to_dict(fourier_cover_prover(constraints_from_set(theorem1_set(4).tag, 4)))
+    block = certificate_to_dict(block_identity_prover(hermitian_feasible_subspace(t2), (0, 1)))
+    forged_cover = dict(cover, d=4.7, witness_shift=cover["witness_shift"] + 0.5)
+    forged_block = dict(block, d=7.9, block_rows=[0.5, 1.7])
+    for forged, s in ((forged_cover, theorem1_set(4)), (forged_block, t2)):
+        with pytest.raises(ValueError, match="malformed certificate: .* is not an integer"):
+            certificate_from_dict(forged)
+        ok, reason = verify_certificate_detailed(forged, s)
+        assert not ok and reason.startswith("malformed certificate")
+    for field, bad in (("witness_shift", True), ("uniform_modulus", [1.0, 4]), ("indices", [[0, 0.0]])):
+        with pytest.raises(ValueError, match="is not an integer"):
+            certificate_from_dict(dict(cover, **{field: bad}))
+    assert verify_certificate(certificate_from_dict(dict(block, d=np.int64(7))), t2)
+    rows_off = dataclasses.replace(certificate_from_dict(block), block_rows=(0.5, 1.7))
+    ok, reason = verify_certificate_detailed(rows_off, t2)
+    assert not ok and "not an integer" in reason
+
+
 def test_witness_projectors_lie_in_feasible_subspace():
     # any vector with pairwise-orthogonal images is feasible for the same set
     rng = np.random.default_rng(21)

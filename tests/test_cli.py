@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import entdis.search
-from entdis.cli import main
+from entdis.cli import build_parser, _config, main
+from entdis.search import SIMULATION_TRIALS, OptimizerConfig
 from entdis.serialize import canonical_json, matrix_to_json
+from entdis.states import Theorem2Spec, UnitarySet, bell_set, set_from_dict, theorem1_set, theorem2_set
 
 
 def run(args):
@@ -55,6 +57,38 @@ def test_gen_explicit_round_trip(tmp_path):
     assert run(["gen", "explicit", "--d", 2, "--unitaries", src, "--output", out]) == 0
     doc = json.loads(out.read_text())
     assert doc["type"] == "explicit" and len(doc["unitaries"]) == 2
+
+
+IX = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        (["theorem1", "--d", 9], lambda: theorem1_set(9)),
+        (["theorem2", "--d", 7], lambda: theorem2_set(Theorem2Spec(7))),
+        (
+            ["theorem2", "--d", 9, "--omega", "0,1", "--sigma", "-1"],
+            lambda: theorem2_set(Theorem2Spec(9, omega=1j, sigma=-1)),
+        ),
+        (["bell", "--d", 3, "--indices", "0,0;1,0;0,1"], lambda: bell_set(3, [(0, 0), (1, 0), (0, 1)])),
+        (["explicit", "--d", 2, "--unitaries", "mats.json"], lambda: UnitarySet(2, IX)),
+    ],
+)
+def test_gen_file_reads_back_as_the_library_set(tmp_path, monkeypatch, args, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mats.json").write_text(canonical_json([matrix_to_json(m) for m in IX]))
+    assert run(["gen", *args, "--output", "set.json"]) == 0
+    got, expected = set_from_dict(json.loads((tmp_path / "set.json").read_text())), want()
+    assert len(got) == len(expected) and got.tag == expected.tag
+    assert all(np.array_equal(U, V) for U, V in zip(got.members, expected.members))
+
+
+def test_option_defaults_are_the_library_defaults():
+    parser = build_parser()
+    for command in ("decide", "search", "simulate"):
+        assert _config(parser.parse_args([command, "x.json"])) == OptimizerConfig()
+    assert parser.parse_args(["simulate", "x.json"]).trials == SIMULATION_TRIALS
 
 
 def test_gen_byte_deterministic(tmp_path):
@@ -138,6 +172,21 @@ def test_certify_and_verify_round_trip(tmp_path):
     truncated = tmp_path / "trunc.json"
     truncated.write_text(cert_file.read_text()[:40])
     assert run(["verify", truncated, sf]) == 2
+
+
+def test_verify_refuses_non_integer_certificate_fields(tmp_path, capsys):
+    for family, args, forge in (
+        ("theorem1", [4], lambda c: dict(c, d=4.7, witness_shift=c["witness_shift"] + 0.5)),
+        ("theorem2", [7], lambda c: dict(c, d=7.9, block_rows=[0.5, 1.7])),
+    ):
+        sf, cf = tmp_path / f"{family}.json", tmp_path / "report.json"
+        run(["gen", family, "--d", *args, "--output", sf])
+        assert run(["certify", sf, "--output", cf]) == 0
+        cert_file = tmp_path / "forged.json"
+        cert_file.write_text(canonical_json(forge(json.loads(cf.read_text())["directions"]["A_to_B"]["certificate"])))
+        capsys.readouterr()
+        assert run(["verify", cert_file, sf]) == 2
+        assert "malformed certificate" in capsys.readouterr().err
 
 
 def test_certify_inconclusive_on_distinguishable_set(tmp_path):

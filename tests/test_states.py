@@ -225,6 +225,32 @@ def test_validation_names_the_same_member_or_pair_as_the_loops():
     assert len(UnitarySet(5, tuple(P))) == 4
 
 
+def test_tag_must_describe_its_members():
+    # five diagonal states, tagged as if two of them were shifts: the tag
+    # would let the cover prover and its verifier certify a distinguishable set
+    diagonal = bell_set(5, [(m, 0) for m in range(5)])
+    with pytest.raises(ValueError, match=r"member 3 is not a unit multiple of U_\(0, 1\)"):
+        UnitarySet(5, diagonal.members, tag=[(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)])
+    with pytest.raises(ValueError, match="member 0 is not a unit multiple"):
+        UnitarySet(5, diagonal.members[::-1], tag=diagonal.tag)
+    phased = UnitarySet(5, tuple(np.exp(0.3j * k) * U for k, U in enumerate(diagonal.members)), tag=diagonal.tag)
+    assert phased.tag == diagonal.tag
+
+
+@pytest.mark.parametrize("d", [*range(4, 21), 64])
+def test_tagged_families_and_their_transposes_build(d):
+    s = theorem1_set(d)
+    t = transpose_set(s)
+    assert t.tag == tuple(PauliIndex(m, (-n) % d) for m, n in s.tag)
+    assert transpose_set(t).tag == s.tag
+
+
+def test_every_bell_label_is_its_own_tag():
+    for d in (2, 3, 6):
+        s = bell_set(d, [(m, n) for m in range(d) for n in range(d)])
+        assert len(transpose_set(s)) == d * d
+
+
 def test_set_from_dict_rejects_non_integer_labels():
     for indices in ([[0.9, 0], [1.5, 0]], [[True, 0], [0, 1]], [[0, 0], [1, 2.0]]):
         with pytest.raises(ValueError, match="pair of integers"):
