@@ -223,6 +223,18 @@ def _integer(x) -> int:
     return int(x)
 
 
+def _number(x) -> float:
+    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a number")
+    return float(x)
+
+
+def _boolean(x) -> bool:
+    if not isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{x!r} is not a boolean")
+    return bool(x)
+
+
 def _check_block_rows(d: int, block_rows) -> tuple:
     rows = tuple(_integer(r) for r in block_rows)
     if len(rows) < 2:
@@ -394,10 +406,10 @@ def certificate_from_dict(doc) -> CoverCertificate | BlockCertificate:
             return BlockCertificate(
                 d=_integer(doc["d"]),
                 block_rows=tuple(_integer(r) for r in doc["block_rows"]),
-                forced_functional_residuals=tuple(float(r) for r in doc["forced_functional_residuals"]),
-                tolerance=float(doc["tolerance"]),
+                forced_functional_residuals=tuple(_number(r) for r in doc["forced_functional_residuals"]),
+                tolerance=_number(doc["tolerance"]),
                 unitaries_sha256=str(doc["unitaries_sha256"]),
-                rank_one_reduction=bool(doc.get("rank_one_reduction", True)),
+                rank_one_reduction=_boolean(doc.get("rank_one_reduction", True)),
                 tool_version=str(doc.get("tool_version", "")),
             )
     except (KeyError, TypeError, ValueError) as exc:

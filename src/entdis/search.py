@@ -6,7 +6,11 @@ vector alpha has pairwise-orthogonal images {U_i alpha}.  The search
 minimizes the squared violation f(alpha) = sum_{i<j} |<alpha|U_i^dag
 U_j|alpha>|^2 on the unit sphere: each random restart runs one damped
 Gauss-Newton (Levenberg-Marquardt) solve of the residual system
-<alpha|U_i^dag U_j|alpha> = 0, renormalizing after every step.  Each
+<alpha|U_i^dag U_j|alpha> = 0, renormalizing after every step.  The damped
+normal system is positive definite and solved by Cholesky; each trial step
+is evaluated once, and an accepted one carries its value, gradient and
+products into the next iteration.  A restart that has passed 1e-20 and
+only crawls on is ended there, far below any success tolerance.  Each
 block of d consecutive restarts starts from one random orthonormal basis,
 so the starts pooled for NNLS completion resolve the identity; the witnesses
 found near them then do so far more often than those of independent
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 from scipy.optimize import nnls
 
 from . import _kernels as K
@@ -135,6 +140,18 @@ def penalty(alpha: np.ndarray, s: UnitarySet):
     return float(f), rgrad
 
 
+def _spd_solve(m, rhs):
+    """Solve m z = rhs for a symmetric positive definite m by Cholesky (LAPACK dposv).
+
+    Raises LinAlgError when the factorization fails, i.e. m is singular or
+    indefinite.
+    """
+    _, z, info = dposv(m, rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"matrix is not positive definite (dposv info {info})")
+    return z
+
+
 def _levenberg(W, Wd, alpha, max_iterations):
     """Levenberg-Marquardt on the residual system g_p(alpha) = 0, renormalizing.
 
@@ -142,11 +159,16 @@ def _levenberg(W, Wd, alpha, max_iterations):
     from the products W a and W^dag a the kernel returns.  The normal matrix
     J^T J gets a penalty on the radial and global-phase directions, scaled to
     its mean diagonal: f is homogeneous of degree 4, so an undamped step would
-    shrink alpha and the renormalization would undo it.  A trial that lowers
-    f is taken and the damping drops 4x (not below 1e-9, so the solve stays
-    nonsingular); otherwise it grows 4x, up to 30 times.  Stops below 1e-28,
-    on a relative plateau over 5 iterations (coarse while f > 1e-2), or when
-    no damping lowers f.
+    shrink alpha and the renormalization would undo it.  That scale is
+    positive whenever f is, so with the damping lam * scale * I (lam >= 1e-9)
+    the system is positive definite and _spd_solve solves it by Cholesky.
+    Each trial is evaluated once by K.penalty_value_grad; an accepted trial's
+    value, gradient and products serve the next iteration unchanged.  A trial
+    that lowers f is taken and the damping drops 4x (not below 1e-9);
+    otherwise it grows 4x, up to 30 times.  Stops below 1e-28, on a relative
+    plateau over 5 iterations (coarse while f > 1e-2), on a crawl below 1e-20
+    (f fell by less than a third over 5 iterations), or when no damping
+    lowers f.
     """
     d = alpha.shape[0]
     a = alpha
@@ -159,30 +181,28 @@ def _levenberg(W, Wd, alpha, max_iterations):
             break
         if it - window_at >= 5:
             prog = (window_f - f) / f
-            if prog < 1e-9 or (f > 1e-2 and prog < 1e-3):
+            if prog < 1e-9 or (f > 1e-2 and prog < 1e-3) or (f < 1e-20 and prog < 0.5):
                 break
             window_f, window_at = f, it
-        jc = np.concatenate([wa + np.conj(wda), 1j * (np.conj(wda) - wa)], axis=1)
-        jac = np.concatenate([jc.real, jc.imag])
+        # unknowns interleaved (Re a_0, Im a_0, Re a_1, ...): complex arrays
+        # enter the real system as float64 views
+        jac = np.concatenate([wa + wda, -1j * (wa - wda)]).view(np.float64)
         normal = jac.T @ jac
-        scale = np.trace(normal) / (2 * d)
-        u = np.concatenate([a.real, a.imag])
-        v = np.concatenate([-a.imag, a.real])
-        normal += scale * (np.outer(u, u) + np.outer(v, v))
-        rhs = -0.5 * np.concatenate([grad.real, grad.imag])
+        scale = normal.trace() / (2 * d)
+        uv = np.array([a, 1j * a]).view(np.float64)  # radial and phase directions
+        normal += scale * (uv.T @ uv)
+        rhs = -0.5 * grad.view(np.float64)
         for _ in range(30):
-            z = np.linalg.solve(normal + lam * scale * eye, rhs)
-            trial = a + z[:d] + 1j * z[d:]
+            trial = a + _spd_solve(normal + lam * scale * eye, rhs).view(np.complex128)
             trial /= np.linalg.norm(trial)
-            ft = K.penalty_value(W, trial)
+            ft, gt, wat, wdat = K.penalty_value_grad(W, Wd, trial)
             if ft < f:
                 lam = max(lam / 4.0, 1e-9)
                 break
             lam *= 4.0
         else:  # no damping lowers f: stationary to machine precision
             break
-        a = trial
-        f, grad, wa, wda = K.penalty_value_grad(W, Wd, a)
+        a, f, grad, wa, wda = trial, ft, gt, wat, wdat
     return a, float(f)
 
 

@@ -451,6 +451,28 @@ def test_certificate_fields_must_be_integers():
     assert not ok and "not an integer" in reason
 
 
+def test_certificate_flags_and_reals_must_be_json_types():
+    # bool() and float() used to coerce these; both forgeries verified as (True, 'ok')
+    t2 = theorem2_set(Theorem2Spec(7))
+    block = certificate_to_dict(block_identity_prover(hermitian_feasible_subspace(t2), (0, 1)))
+    as_strings = dict(
+        block,
+        tolerance=str(block["tolerance"]),
+        forced_functional_residuals=[str(r) for r in block["forced_functional_residuals"]],
+    )
+    as_text_flag = dict(block, rank_one_reduction="false")
+    for forged, message in ((as_text_flag, "is not a boolean"), (as_strings, "is not a number")):
+        with pytest.raises(ValueError, match=f"malformed certificate: .* {message}"):
+            certificate_from_dict(forged)
+        ok, reason = verify_certificate_detailed(forged, t2)
+        assert not ok and reason.startswith("malformed certificate")
+    for field, bad in (("rank_one_reduction", 1), ("tolerance", True), ("forced_functional_residuals", [None])):
+        with pytest.raises(ValueError, match="is not a"):
+            certificate_from_dict(dict(block, **{field: bad}))
+    assert certificate_from_dict(dict(block, tolerance=0)).tolerance == 0.0  # a JSON integer is a number
+    assert not verify_certificate(certificate_from_dict(dict(block, rank_one_reduction=False)), t2)
+
+
 def test_witness_projectors_lie_in_feasible_subspace():
     # any vector with pairwise-orthogonal images is feasible for the same set
     rng = np.random.default_rng(21)

@@ -11,9 +11,11 @@ from entdis.search import (
     OptimizerConfig,
     Povm,
     _answer_table,
+    _levenberg,
     _merge_up_to_phase,
     _restart_start,
     _run_restart,
+    _spd_solve,
     decide,
     decide_direction,
     decision_to_dict,
@@ -135,6 +137,100 @@ def test_restart_is_pure_function_of_seed_and_index():
         f, alpha = _run_restart(W, Wd, s.d, cfg, k)
         assert f == harvest[k][0]
         assert np.array_equal(alpha, harvest[k][1])
+
+
+def reference_value_grad(W, Wd, a):
+    """Penalty value, gradient and products with the gradient as a broadcast sum."""
+    wa, wda = W @ a, Wd @ a
+    g = wa @ np.conj(a)
+    grad = 2.0 * (np.conj(g)[:, None] * wa + g[:, None] * wda).sum(axis=0)
+    return float(np.sum(g.real * g.real + g.imag * g.imag)), grad, wa, wda
+
+
+def reference_levenberg(W, Wd, alpha, max_iterations):
+    """The LM solve before the Cholesky rewrite: (Re, Im) blocks, LU solve, an
+    accepted trial evaluated twice, no crawl exit."""
+    d = alpha.shape[0]
+    a = alpha
+    lam = 1e-3
+    eye = np.eye(2 * d)
+    f, grad, wa, wda = reference_value_grad(W, Wd, a)
+    window_f, window_at = f, 0
+    for it in range(max_iterations):
+        if f < 1e-28:
+            break
+        if it - window_at >= 5:
+            prog = (window_f - f) / f
+            if prog < 1e-9 or (f > 1e-2 and prog < 1e-3):
+                break
+            window_f, window_at = f, it
+        jc = np.concatenate([wa + np.conj(wda), 1j * (np.conj(wda) - wa)], axis=1)
+        jac = np.concatenate([jc.real, jc.imag])
+        normal = jac.T @ jac
+        scale = np.trace(normal) / (2 * d)
+        u = np.concatenate([a.real, a.imag])
+        v = np.concatenate([-a.imag, a.real])
+        normal += scale * (np.outer(u, u) + np.outer(v, v))
+        rhs = -0.5 * np.concatenate([grad.real, grad.imag])
+        for _ in range(30):
+            z = np.linalg.solve(normal + lam * scale * eye, rhs)
+            trial = a + z[:d] + 1j * z[d:]
+            trial /= np.linalg.norm(trial)
+            ft = K.penalty_value(W, trial)
+            if ft < f:
+                lam = max(lam / 4.0, 1e-9)
+                break
+            lam *= 4.0
+        else:
+            break
+        a = trial
+        f, grad, wa, wda = reference_value_grad(W, Wd, a)
+    return a, float(f)
+
+
+def test_levenberg_matches_reference_solve():
+    cfg = OptimizerConfig()
+    for s in (
+        theorem1_set(9),
+        UnitarySet(5, bell_set(5, [(0, 0), (1, 2)]).members),
+        UnitarySet(3, bell_set(3, [(0, 2), (1, 0), (2, 1)]).members),  # stalls undamped Gauss-Newton
+    ):
+        W = pair_operators(s)
+        Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+        new, old = [], []
+        for k in range(cfg.restarts):
+            a0 = _restart_start(s.d, cfg.seed, k)
+            a, f = _levenberg(W, Wd, a0, cfg.max_iterations)
+            b, g = reference_levenberg(W, Wd, a0, cfg.max_iterations)
+            assert 1.0 - abs(np.vdot(a, b)) <= 1e-12, (s.d, k)
+            assert (f < cfg.success_tol) == (g < cfg.success_tol), (s.d, k)
+            new.append(f)
+            old.append(g)
+        assert (min(new) < cfg.success_tol) == (min(old) < cfg.success_tol)
+
+
+def test_spd_solve_refuses_singular_and_indefinite_systems():
+    rhs = np.array([1.0, 2.0])
+    for m in (np.zeros((2, 2)), np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(np.linalg.LinAlgError):
+            _spd_solve(m, rhs)
+    m = np.array([[4.0, 1.0], [1.0, 3.0]])
+    assert np.max(np.abs(_spd_solve(m, rhs) - np.linalg.solve(m, rhs))) < 1e-15
+
+
+def test_crawling_restart_ends_below_success_tol(monkeypatch):
+    # theorem2 d=7 restart 0 passes success_tol within 10 iterations, then
+    # converges sublinearly; without the crawl exit below 1e-20 it ran all 2000
+    s = theorem2_set(Theorem2Spec(7))
+    W = pair_operators(s)
+    Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+    calls = []
+    for name in ("penalty_value", "penalty_value_grad"):
+        kernel = getattr(K, name)
+        monkeypatch.setattr(K, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+    f, _ = _run_restart(W, Wd, s.d, OptimizerConfig(), 0)
+    assert f < OptimizerConfig().success_tol
+    assert len(calls) <= 100
 
 
 def test_restart_starts_come_in_orthonormal_bases():
