@@ -13,24 +13,29 @@ Two sound (not complete) provers:
 
 * block_identity_prover, for arbitrary sets.  Any one-way protocol reduces
   to rank-one measurement elements M = |phi><phi| satisfying the real-linear
-  constraints Tr(U_i M U_j^dag) = 0 for i != j.  If every traceless direction
-  of some principal k x k block (k >= 2) lies in the real span of those
+  constraints Tr(U_i M U_j^dag) = 0 for i != j.  If the three traceless
+  directions of some principal 2 x 2 block lie in the real span of those
   constraint functionals, every feasible Hermitian M has a scalar block
   there; a scalar block of a rank-one PSD matrix is zero, so no family of
-  rank-one elements can sum to the identity.  Membership residuals are
-  distances from the row space of the constraint matrix, read off one thin
-  SVD by projection, after a screen that rejects a block when a functional
-  h, sparse in these coordinates, loses ||h||^2 - ||Qh||^2 > 1e-6.
+  rank-one elements can sum to the identity.  Larger blocks add nothing: a
+  forced k-row block forces each of its 2-row sub-blocks, whose traceless
+  directions lie in its span.  Membership residuals are distances from the
+  row space of the constraint matrix, read off one thin SVD by projection,
+  after a screen that rejects a block when a functional h, which touches
+  four coordinates, loses ||h||^2 - ||Qh||^2 > 1e-6.
 
 pair_operators stacks every W_p = U_i^dag U_j (i < j); the constraint rows
 are hermitian_coords of the Hermitian and anti-Hermitian parts of W_p^dag.
 
 verify_certificate re-derives everything from the set by least squares (one
 solve per block), so certificates are independently checkable artifacts; it
-refuses a stated tolerance above BLOCK_TOL.
+refuses a stated tolerance above BLOCK_TOL.  A block certificate names its
+set by unitaries_hash, a SHA-256 of the member bytes, which the verifier
+recomputes.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -38,7 +43,6 @@ from itertools import combinations
 import numpy as np
 
 from .gpauli import check_dimension, check_index, is_integer
-from .serialize import sha256_hex
 from .states import UnitarySet
 from .version import __version__
 
@@ -143,8 +147,9 @@ def fourier_cover_prover(c: CorrelationConstraintSystem):
 #   B_sym(pq) = (E_pq + E_qp)/sqrt(2)     p < q, lexicographic
 #   B_skw(pq) = i(E_pq - E_qp)/sqrt(2)
 # ordered [diagonals..., sym(0,1), skw(0,1), sym(0,2), skw(0,2), ...].
-# hermitian_coords is the only map into them: the constraint rows, the block
-# functionals and the NNLS columns of entdis.search all go through it.
+# hermitian_coords maps matrices into them (the constraint rows and the NNLS
+# columns of entdis.search); block_functionals writes a block's three
+# functionals in them directly.
 
 
 def pair_operators(s: UnitarySet) -> np.ndarray:
@@ -237,43 +242,43 @@ def _boolean(x) -> bool:
 
 def _check_block_rows(d: int, block_rows) -> tuple:
     rows = tuple(_integer(r) for r in block_rows)
-    if len(rows) < 2:
-        raise ValueError("block needs at least two rows")
-    if len(set(rows)) != len(rows):
-        raise ValueError(f"duplicate block rows in {rows}")
-    if any(not 0 <= r < d for r in rows):
-        raise ValueError(f"block rows {rows} out of range for dimension {d}")
+    if len(rows) != 2 or rows[0] == rows[1] or not all(0 <= r < d for r in rows):
+        raise ValueError(f"block rows {rows} are not two distinct rows of dimension {d}")
     return tuple(sorted(rows))
 
 
-def traceless_block_functionals(d: int, block_rows) -> np.ndarray:
-    """Orthonormal Hermitian matrices spanning the traceless directions of a block.
+def _block_columns(d: int, p: int, q: int) -> list:
+    """Hermitian coordinates sym(p,q), skw(p,q), E_pp and E_qq of rows p < q."""
+    k = d + 2 * (p * d - p * (p + 1) // 2 + q - p - 1)
+    return [k, k + 1, p, q]
 
-    A (k^2 - 1, d, d) stack.  Order: for each row pair p < q the symmetric
-    then antisymmetric element, followed by the k-1 traceless diagonal
-    combinations.  For a 2-row block this is (up to normalization) the X-,
-    Y- and Z-like direction.
+
+# the block functionals sym(p,q), skw(p,q) and (E_pp - E_qq)/sqrt(2) on _block_columns
+_BLOCK_COEFFS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1 / _SQRT2, -1 / _SQRT2]])
+
+
+def block_functionals(d: int, block_rows) -> np.ndarray:
+    """(3, d^2) Hermitian coordinates of the traceless directions of a 2-row block.
+
+    Rows sym(p,q), skw(p,q) and (E_pp - E_qq)/sqrt(2) for the sorted rows
+    p < q: an orthonormal basis of the block's X-, Y- and Z-like directions.
     """
-    rows = _check_block_rows(d, block_rows)
-    k = len(rows)
-    out = np.zeros((k * k - 1, d, d), dtype=np.complex128)
-    for n, (a, b) in enumerate(combinations(rows, 2)):
-        out[2 * n, [a, b], [b, a]] = 1.0 / _SQRT2
-        out[2 * n + 1, [a, b], [b, a]] = (1j / _SQRT2, -1j / _SQRT2)
-    for t in range(1, k):
-        out[k * (k - 1) + t - 1, rows[: t + 1], rows[: t + 1]] = np.append(np.ones(t), -t) / np.sqrt(t * (t + 1))
-    return out
+    p, q = _check_block_rows(d, block_rows)
+    h = np.zeros((3, d * d))
+    h[:, _block_columns(d, p, q)] = _BLOCK_COEFFS
+    return h
 
 
 @dataclass(frozen=True)
 class BlockCertificate:
-    """Proof that a principal block is forced scalar.
+    """Proof that a principal 2 x 2 block is forced scalar.
 
-    forced_functional_residuals[k] is the distance of the k-th traceless
-    block functional from the real span of the constraint functionals
-    (ordering per traceless_block_functionals); the verifier recomputes it
-    by least squares.  Soundness additionally rests
-    on the rank-one measurement reduction, recorded here explicitly.
+    forced_functional_residuals[k] is the distance of the k-th block
+    functional (row k of block_functionals) from the real span of the
+    constraint functionals; the verifier recomputes it by least squares.
+    unitaries_sha256 binds the certificate to its set (unitaries_hash).
+    Soundness additionally rests on the rank-one measurement reduction,
+    recorded here explicitly.
     """
 
     d: int
@@ -286,21 +291,15 @@ class BlockCertificate:
 
 
 def unitaries_hash(s: UnitarySet) -> str:
-    """sha256_hex(canonical_json({"d": d, "unitaries": [matrix_to_json(U), ...]})), written directly."""
-
-    def block(items, level):
-        pad = "\n" + "  " * level
-        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-
-    row = block([block(["%r", "%r"], 5)] * s.d, 4)  # members are complex128
-    floats = [np.ascontiguousarray(U).view(np.float64).tolist() for U in s.members]
-    mats = [block([row % tuple(r) for r in entries], 3) for entries in floats]
-    return sha256_hex('{\n  "d": %d,\n  "unitaries": %s\n}\n' % (s.d, block(mats, 2)))
+    """SHA-256 of the ASCII header "d N\n", then the members as little-endian
+    complex128 in row-major order."""
+    header = f"{s.d} {len(s)}\n".encode("ascii")
+    return hashlib.sha256(header + np.asarray(s.members, dtype="<c16").tobytes()).hexdigest()
 
 
 def _membership_residuals(A: np.ndarray, d: int, rows) -> list:
     """Least-squares distance of each block functional from the span of A's rows."""
-    h = hermitian_coords(traceless_block_functionals(d, rows)).T
+    h = block_functionals(d, rows).T
     x, *_ = np.linalg.lstsq(A.T, h, rcond=None)
     return np.linalg.norm(A.T @ x - h, axis=0).tolist()
 
@@ -308,30 +307,21 @@ def _membership_residuals(A: np.ndarray, d: int, rows) -> list:
 def _projection_residuals(S: FeasibleSubspace, rows) -> list:
     """Distance ||h - Q^T Q h|| of each block functional h from the row space Q."""
     Q = S.row_basis
-    h = hermitian_coords(traceless_block_functionals(S.d, rows)).T
-    return np.linalg.norm(h - Q.T @ (Q @ h), axis=0).tolist()
+    h = block_functionals(S.d, rows)
+    return np.linalg.norm(h.T - Q.T @ (Q @ h.T), axis=0).tolist()
 
 
-def _block_coordinates(d: int, rows) -> list:
-    """(indices, coefficients) of each traceless block functional in Hermitian coordinates."""
-    pairs = [d + 2 * (p * d - p * (p + 1) // 2 + q - p - 1) for p, q in combinations(rows, 2)]
-    out = [([k + part], np.ones(1)) for k in pairs for part in (0, 1)]
-    diag = [np.append(np.ones(t), -t) / np.sqrt(t * (t + 1)) for t in range(1, len(rows))]
-    return out + [(list(rows[: len(c)]), c) for c in diag]
-
-
-def _screen_rejects(S: FeasibleSubspace, rows) -> bool:
-    """True when some block functional h has ||h||^2 - ||Qh||^2 (its squared
-    residual) above _SCREEN_TOL; the sparse h reads only a few columns of Q."""
-    Q = S.row_basis
-    coords = _block_coordinates(S.d, rows)
-    return any(not c @ c - np.sum((Q[:, i] @ c) ** 2) <= _SCREEN_TOL for i, c in coords)
+def _screen_losses(S: FeasibleSubspace, p: int, q: int) -> np.ndarray:
+    """||h||^2 - ||Qh||^2 (the squared residual) of each block functional h,
+    read from the four columns of Q that h touches."""
+    G = S.row_basis[:, _block_columns(S.d, p, q)] @ _BLOCK_COEFFS.T
+    return 1.0 - np.sum(G * G, axis=0)
 
 
 def block_identity_prover(S: FeasibleSubspace, block_rows):
-    """BlockCertificate if every traceless block functional is forced, else None."""
+    """BlockCertificate if every traceless functional of the 2-row block is forced, else None."""
     rows = _check_block_rows(S.d, block_rows)
-    if _screen_rejects(S, rows):  # a certifiable block loses at most 1e-16 plus rounding
+    if not np.all(_screen_losses(S, *rows) <= _SCREEN_TOL):  # a certifiable block loses at most 1e-16 plus rounding
         return None
     residuals = _projection_residuals(S, rows)
     if not max(residuals) < BLOCK_TOL:

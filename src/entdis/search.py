@@ -64,8 +64,7 @@ _SEED_MASK = (1 << 64) - 1
 class OptimizerConfig:
     """Random-restart search configuration.
 
-    stop_at_success skips remaining restarts once one reaches success_tol;
-    the lowest-index success is returned.
+    stop_at_success skips the restarts after the first one below success_tol.
     """
 
     restarts: int = 64
@@ -210,12 +209,12 @@ def _restart_start(d, seed, index):
     """Start of restart `index`: vector index % d of one random orthonormal basis.
 
     Restarts m*d .. m*d + d - 1 share the basis Gram-Schmidted from complex
-    Gaussian draws seeded by seed ^ (m*d), so every full block of d starts
-    resolves the identity.  Each start is still a pure function of
-    (seed, index).
+    Gaussian draws seeded by seed ^ (m << 32), so every full block of d
+    starts resolves the identity and each seed below 2^32 has its own
+    blocks.  Each start is still a pure function of (seed, index).
     """
     m, j = divmod(index, d)
-    rng = np.random.default_rng((seed ^ (m * d)) & _SEED_MASK)
+    rng = np.random.default_rng((seed ^ (m << 32)) & _SEED_MASK)
     z = rng.standard_normal((j + 1, 2, d))
     q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]).T)
     return q[:, j] * (r[j, j] / abs(r[j, j]))
@@ -236,9 +235,9 @@ def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect
     cfg.max_iterations iterations from the unit vector _restart_start
     picks (blocks of d restarts start from one orthonormal basis).
 
-    Selection: the lowest-index restart reaching success_tol wins when
-    stop_at_success is set (remaining restarts are skipped); otherwise the
-    lowest residual, ties broken by restart index.
+    Selection: the lowest-index restart below success_tol, or failing that
+    the lowest residual (ties to the lower index).  stop_at_success skips
+    the restarts after the first success.
 
     With collect=True also returns the per-restart (residual, alpha) list
     actually evaluated, for POVM harvesting.
@@ -252,7 +251,7 @@ def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect
     for r in range(cfg.restarts):
         f, alpha = _run_restart(W, Wd, s.d, cfg, r)
         results.append((f, alpha))
-        if f < best_f:
+        if best_f >= cfg.success_tol and f < best_f:
             best_f, best_a = f, alpha
         if cfg.stop_at_success and f < cfg.success_tol:
             break
@@ -317,13 +316,7 @@ def povm_orthogonality_residual(p: Povm, s: UnitarySet) -> float:
     return float(np.max(np.abs(g)))
 
 
-def povm_completion(
-    s: UnitarySet,
-    w: Witness,
-    extra_witnesses=(),
-    success_tol: float = 1e-12,
-    identity_tol: float = IDENTITY_TOL,
-):
+def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: float = 1e-12):
     """Complete a witness into a full POVM, or None if that fails.
 
     Pauli-tagged sets use the orbit construction (every orbit point is again
@@ -347,7 +340,7 @@ def povm_completion(
         if not keep.any():
             return None
         povm = Povm(weights[keep], phis[keep])
-    if not povm_identity_residual(povm, s.d) < identity_tol:
+    if not povm_identity_residual(povm, s.d) < IDENTITY_TOL:
         return None
     if not povm_orthogonality_residual(povm, s) < ELEMENT_ORTHO_TOL:
         return None

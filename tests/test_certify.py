@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,11 +9,12 @@ import pytest
 from entdis.certify import (
     BLOCK_TOL,
     BlockCertificate,
+    _SCREEN_TOL,
     _SQRT2,
-    _block_coordinates,
     _membership_residuals,
     _projection_residuals,
-    _screen_rejects,
+    _screen_losses,
+    block_functionals,
     block_identity_prover,
     certificate_from_dict,
     certificate_to_dict,
@@ -23,7 +25,6 @@ from entdis.certify import (
     hermitian_feasible_subspace,
     pair_operators,
     scan_blocks,
-    traceless_block_functionals,
     unitaries_hash,
     verify_certificate,
     verify_certificate_detailed,
@@ -259,7 +260,7 @@ def test_block_screen_is_sound():
         first = None
         for rows in combinations(range(s.d), 2):
             proj = _projection_residuals(fs, rows)
-            if _screen_rejects(fs, rows):
+            if not np.all(_screen_losses(fs, *rows) <= _SCREEN_TOL):
                 assert max(proj) >= BLOCK_TOL, (k, rows)
             if first is None and max(proj) < BLOCK_TOL:
                 first = (rows, tuple(proj))
@@ -271,49 +272,99 @@ def test_block_screen_is_sound():
     assert certified == 6
 
 
-def test_block_coordinates_match_dense_functionals():
-    for d, rows in ((2, (0, 1)), (5, (1, 3)), (5, (0, 2, 4)), (6, (0, 1, 3, 5))):
-        fns = traceless_block_functionals(d, rows)
-        sparse = _block_coordinates(d, rows)
-        assert len(sparse) == len(fns)
-        for H, (idx, coef) in zip(fns, sparse):
-            h = np.zeros(d * d)
-            h[idx] = coef
-            assert np.max(np.abs(h - hermitian_coords(H))) < 1e-15
+def dense_block_directions(d, rows):
+    """Orthonormal traceless Hermitian directions of the 2-row block p < q."""
+    p, q = sorted(rows)
+    out = np.zeros((3, d, d), dtype=np.complex128)
+    out[0, [p, q], [q, p]] = 1 / _SQRT2
+    out[1, [p, q], [q, p]] = (1j / _SQRT2, -1j / _SQRT2)
+    out[2, [p, q], [p, q]] = (1 / _SQRT2, -1 / _SQRT2)
+    return out
 
 
-def test_unitaries_hash_matches_canonical_json():
+def test_block_functionals_are_coords_of_dense_directions():
+    for d, rows in ((2, (0, 1)), (5, (1, 3)), (5, (0, 4)), (6, (2, 5))):
+        dense = dense_block_directions(d, rows)
+        for H in dense:
+            assert abs(np.trace(H)) < 1e-15 and np.array_equal(H, H.conj().T)
+        for order in (rows, rows[::-1]):
+            h = block_functionals(d, order)
+            assert h.shape == (3, d * d)
+            assert np.max(np.abs(h - hermitian_coords(dense))) < 1e-15
+            assert np.max(np.abs(h @ h.T - np.eye(3))) < 1e-15
+
+
+def test_block_functionals_need_two_distinct_rows():
+    for rows in ((2,), (0, 2, 4), (3, 3), (2, 7), (-1, 2)):
+        with pytest.raises(ValueError):
+            block_functionals(5, rows)
+        with pytest.raises(ValueError):
+            block_identity_prover(hermitian_feasible_subspace(bell_set(5, [(0, 0), (1, 2)])), rows)
+
+
+def reference_block_functionals(d, rows):
+    """The general k-row construction: Hermitian coordinates of the k^2 - 1
+    orthonormal traceless directions of a principal block."""
+    rows = sorted(rows)
+    k = len(rows)
+    out = np.zeros((k * k - 1, d, d), dtype=np.complex128)
+    for n, (a, b) in enumerate(combinations(rows, 2)):
+        out[2 * n, [a, b], [b, a]] = 1.0 / _SQRT2
+        out[2 * n + 1, [a, b], [b, a]] = (1j / _SQRT2, -1j / _SQRT2)
+    for t in range(1, k):
+        out[k * (k - 1) + t - 1, rows[: t + 1], rows[: t + 1]] = np.append(np.ones(t), -t) / np.sqrt(t * (t + 1))
+    return hermitian_coords(out)
+
+
+def test_forced_three_row_blocks_force_their_two_row_sub_blocks():
+    # a k-row certificate proves nothing a 2-row one cannot: the traceless
+    # directions of each 2-row sub-block lie in the span of the k-row ones;
+    # no screen case has a forced 3-row block, all 16 qudit Bell states at
+    # d=4 force every block
+    assert np.max(np.abs(reference_block_functionals(6, (1, 4)) - block_functionals(6, (1, 4)))) < 1e-15
+    forced = 0
+    for s in screen_cases() + [bell_set(4, [(m, n) for m in range(4) for n in range(4)])]:
+        fs = hermitian_feasible_subspace(s)
+        Q = fs.row_basis
+        for rows in combinations(range(s.d), 3):
+            h = reference_block_functionals(s.d, rows).T
+            if max(np.linalg.norm(h - Q.T @ (Q @ h), axis=0)) < BLOCK_TOL:
+                forced += 1
+                for sub in combinations(rows, 2):
+                    assert block_identity_prover(fs, sub) is not None, (s.d, rows, sub)
+    assert forced == 4
+
+
+def reference_unitaries_hash(s):
+    data = b"%d %d\n" % (s.d, len(s)) + b"".join(np.asarray(U, dtype="<c16").tobytes(order="C") for U in s.members)
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_unitaries_hash_is_sha256_of_member_bytes():
     rng = np.random.default_rng(37)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    V = np.full((3, 3), complex(-0.0, 0.0))
+    V = np.zeros((3, 3), dtype=complex)
     V[:2, :2] = q
     V[2, 2] = np.exp(0.3j)
     pair = UnitarySet(3, (V, V * np.exp(2j * np.pi * np.arange(3) / 3)))
-    floats = [repr(x) for U in pair.members for x in U.view(np.float64).ravel().tolist()]
-    assert "-0.0" in floats
-    assert any(len(x.lstrip("-0.")) == 17 for x in floats)
     for s in (theorem2_set(Theorem2Spec(7)), bell_set(5, [(0, 0), (1, 2), (3, 1)]), pair):
-        doc = {"d": s.d, "unitaries": [matrix_to_json(U) for U in s.members]}
-        assert unitaries_hash(s) == sha256_hex(canonical_json(doc))
+        assert unitaries_hash(s) == reference_unitaries_hash(s)
+
+    def variant(entry, value):
+        W = V.copy()
+        W[entry] = value
+        return UnitarySet(3, (W, pair.members[1]))
+
+    negative_zero = variant((0, 2), complex(-0.0, 0.0))
+    one_ulp = variant((2, 2), complex(np.nextafter(V[2, 2].real, 2.0), V[2, 2].imag))
+    swapped = UnitarySet(3, pair.members[::-1])
+    digests = [unitaries_hash(s) for s in (pair, negative_zero, one_ulp, swapped)]
+    assert len(set(digests)) == 4
 
 
 def test_feasible_subspace_needs_two():
     with pytest.raises(ValueError):
         hermitian_feasible_subspace(UnitarySet(2, (I2,)))
-
-
-def test_traceless_block_functionals_shape():
-    fns = traceless_block_functionals(5, (1, 3))
-    assert len(fns) == 3
-    fns = traceless_block_functionals(5, (0, 2, 4))
-    assert len(fns) == 8
-    for H in fns:
-        assert abs(np.trace(H)) < 1e-14
-        assert np.max(np.abs(H - H.conj().T)) < 1e-14
-    with pytest.raises(ValueError):
-        traceless_block_functionals(5, (2,))
-    with pytest.raises(ValueError):
-        traceless_block_functionals(5, (2, 7))
 
 
 @pytest.mark.parametrize("d", [7, 9])
@@ -408,6 +459,28 @@ def test_verify_block_certificate_refuses_raised_or_nan_tolerance():
     cert = block_identity_prover(hermitian_feasible_subspace(t2), (0, 1))
     ok, reason = verify_certificate_detailed(dataclasses.replace(cert, forced_functional_residuals=(nan,) * 3), t2)
     assert not ok and "stored residual" in reason
+
+
+def test_verify_refuses_old_digest_and_three_row_certificates():
+    t2 = theorem2_set(Theorem2Spec(7))
+    cert = block_identity_prover(hermitian_feasible_subspace(t2), (0, 1))
+    # the digest of the canonical JSON text of the members, used before the
+    # digest of their bytes
+    json_digest = sha256_hex(canonical_json({"d": 7, "unitaries": [matrix_to_json(U) for U in t2.members]}))
+    ok, reason = verify_certificate_detailed(dataclasses.replace(cert, unitaries_sha256=json_digest), t2)
+    assert not ok and reason.startswith("unitaries hash mismatch")
+
+    # a truly forced 3-row block, with its 8 true residuals, is still refused
+    bell = UnitarySet(4, bell_set(4, [(m, n) for m in range(4) for n in range(4)]).members)
+    A = constraint_matrix(bell)
+    h = reference_block_functionals(4, (0, 1, 2)).T
+    x, *_ = np.linalg.lstsq(A.T, h, rcond=None)
+    residuals = tuple(np.linalg.norm(A.T @ x - h, axis=0).tolist())
+    assert len(residuals) == 8 and max(residuals) < BLOCK_TOL
+    three = BlockCertificate(4, (0, 1, 2), residuals, BLOCK_TOL, unitaries_hash(bell))
+    ok, reason = verify_certificate_detailed(three, bell)
+    assert not ok and "two distinct rows" in reason
+    assert not verify_certificate(certificate_to_dict(three), bell)
 
 
 def test_certificate_json_round_trips():

@@ -6,8 +6,8 @@ import pytest
 import entdis.search
 from entdis.cli import build_parser, _config, main
 from entdis.search import SIMULATION_TRIALS, OptimizerConfig
-from entdis.serialize import canonical_json, matrix_to_json
-from entdis.states import Theorem2Spec, UnitarySet, bell_set, set_from_dict, theorem1_set, theorem2_set
+from entdis.serialize import canonical_json, matrix_to_json, sha256_hex
+from entdis.states import Theorem2Spec, UnitarySet, bell_set, set_from_dict, set_to_dict, theorem1_set, theorem2_set
 
 
 def run(args):
@@ -235,6 +235,28 @@ def test_certify_and_verify_block_certificates(tmp_path):
     reports = {r["direction"]: r for r in json.loads(rf.read_text())["reports"]}
     for label in ("A_to_B", "B_to_A"):
         assert reports[label]["certificate"] == directions[label]["certificate"]
+
+
+def test_verify_refuses_json_digest_and_three_row_certificates(tmp_path, capsys):
+    # block certificates name their set by a digest of the member bytes; one
+    # carrying the digest of the members' JSON text, or a 3-row block, is refused
+    bell = UnitarySet(4, bell_set(4, [(m, n) for m in range(4) for n in range(4)]).members)
+    sf, cf = tmp_path / "bell.json", tmp_path / "report.json"
+    sf.write_text(canonical_json(set_to_dict(bell)))
+    assert run(["certify", sf, "--output", cf]) == 0
+    cert = json.loads(cf.read_text())["directions"]["A_to_B"]["certificate"]
+    assert cert["kind"] == "forced_block"
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(canonical_json(cert))
+    assert run(["verify", cert_file, sf]) == 0
+
+    json_digest = sha256_hex(canonical_json({"d": 4, "unitaries": [matrix_to_json(U) for U in bell.members]}))
+    three_rows = dict(cert, block_rows=[0, 1, 2], forced_functional_residuals=[0.0] * 8)
+    for forged, reason in ((dict(cert, unitaries_sha256=json_digest), "unitaries hash mismatch"), (three_rows, "two distinct rows")):
+        cert_file.write_text(canonical_json(forged))
+        capsys.readouterr()
+        assert run(["verify", cert_file, sf]) == 1
+        assert reason in capsys.readouterr().err
 
 
 def test_search_command(tmp_path):

@@ -241,6 +241,25 @@ def test_restart_starts_come_in_orthonormal_bases():
         assert abs(np.vdot(starts[0], starts[d])) < 1 - 1e-6
 
 
+def test_restart_pools_differ_between_seeds():
+    # block m used to be seeded by seed ^ (m*d), which maps seed 8, block 0 to
+    # seed 0, block 1 at d=8; seeds 0..63 then gave only d distinct pools
+    assert not np.array_equal(_restart_start(8, 0, 8), _restart_start(8, 8, 0))
+    for d in (2, 4, 8):
+        pools = {frozenset(_restart_start(d, seed, m * d).tobytes() for m in range(64 // d)) for seed in range(64)}
+        assert len(pools) == 64, d
+
+
+def test_first_success_wins_without_stop_at_success():
+    # dozens of restarts end between 1e-35 and 1e-32 here; the witness is the
+    # first of them, not whichever rounds lowest
+    s = UnitarySet(5, bell_set(5, [(0, 0), (1, 2)]).members)
+    first = witness_search(s)
+    full, harvest = witness_search(s, OptimizerConfig(stop_at_success=False), collect=True)
+    assert len(harvest) == 64 and sum(f < 1e-12 for f, _ in harvest) > 1
+    assert np.array_equal(full.alpha, first.alpha) and full.residual == first.residual
+
+
 def test_decide_untagged_d6_pairs_at_default_config():
     # NNLS completion needs witnesses spread around the identity; at the default
     # seed these pairs complete only from starts that come in orthonormal bases
