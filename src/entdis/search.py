@@ -22,7 +22,9 @@ forced-block residuals come from a projection onto the row space of the
 constraint matrix); run_protocol runs search, POVM completion and the
 protocol simulation, each batched over all POVM outcomes with einsum (a
 threaded BLAS call on arrays this small only adds spinning threads);
-decide_direction chains the two.
+decide_direction chains the two.  scipy is imported on first use: LAPACK
+dposv by the first damped solve, nnls by untagged completion, so a
+direction that a prover certifies runs on numpy alone.
 
 Conventions: the stored witness alpha lives on the receiving (Bob) side;
 the measuring party's POVM vectors are the conjugates phi = conj(alpha),
@@ -32,10 +34,9 @@ U|conj(phi)> up to normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
-from scipy.linalg.lapack import dposv
-from scipy.optimize import nnls
 
 from . import _kernels as K
 from .certify import (
@@ -139,13 +140,21 @@ def penalty(alpha: np.ndarray, s: UnitarySet):
     return float(f), rgrad
 
 
+@cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported by the first damped solve, not by `import entdis`."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _spd_solve(m, rhs):
     """Solve m z = rhs for a symmetric positive definite m by Cholesky (LAPACK dposv).
 
     Raises LinAlgError when the factorization fails, i.e. m is singular or
-    indefinite.
+    indefinite.  The first call imports scipy's LAPACK wrappers (see _lapack).
     """
-    _, z, info = dposv(m, rhs)
+    _, z, info = _lapack().dposv(m, rhs)
     if info != 0:
         raise np.linalg.LinAlgError(f"matrix is not positive definite (dposv info {info})")
     return z
@@ -335,6 +344,7 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
         reps, _ = _merge_up_to_phase(pool, np.zeros(len(pool)))
         phis = np.conj(pool[reps])
         cols = hermitian_coords(phis[:, :, None] * np.conj(phis)[:, None, :]).T
+        from scipy.optimize import nnls  # only untagged completion needs scipy.optimize
         weights, _ = nnls(cols, hermitian_coords(np.eye(s.d, dtype=np.complex128)))
         keep = weights > 1e-12
         if not keep.any():

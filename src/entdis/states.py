@@ -24,6 +24,7 @@ from .serialize import matrix_from_json, matrix_to_json, pair_to_complex
 
 UNITARY_TOL = 1e-10
 ORTHO_TOL = 1e-10
+_CHECK_BYTES = 1 << 20
 
 # single-qubit Pauli matrices, used by the four-state block construction
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -59,11 +60,14 @@ class UnitarySet:
                 raise ValueError(f"member {k} has shape {np.shape(U)}, expected {(d, d)}")
         M = np.array(self.members, dtype=np.complex128)
         M.setflags(write=False)
-        with np.errstate(invalid="ignore"):  # inf entries give nan deviations, rejected below
-            err = np.max(np.abs(np.conj(np.swapaxes(M, 1, 2)) @ M - np.eye(d)), axis=(1, 2))
-        bad = np.flatnonzero(~(err <= UNITARY_TOL))
-        if bad.size:
-            raise ValueError(f"member {bad[0]} is not unitary (deviation {err[bad[0]]:.2e})")
+        step = max(1, _CHECK_BYTES // M[0].nbytes)  # temporaries of U^dag U - I stay near _CHECK_BYTES
+        for lo in range(0, len(M), step):
+            B = M[lo : lo + step]
+            with np.errstate(invalid="ignore"):  # inf entries give nan deviations, rejected below
+                err = np.max(np.abs(np.conj(np.swapaxes(B, 1, 2)) @ B - np.eye(d)), axis=(1, 2))
+            bad = np.flatnonzero(~(err <= UNITARY_TOL))
+            if bad.size:
+                raise ValueError(f"member {lo + bad[0]} is not unitary (deviation {err[bad[0]]:.2e})")
         gram = np.abs(np.einsum("iab,jab->ij", np.conj(M), M))  # |Tr(U_i^dag U_j)|
         gram[np.tril_indices(len(M))] = 0.0
         bad = np.argwhere(~(gram <= ORTHO_TOL))
@@ -232,7 +236,7 @@ def transpose_set(s: UnitarySet) -> UnitarySet:
     w^{-mn} member phases are kept in the matrices and are irrelevant to all
     downstream consumers.
     """
-    members = tuple(np.ascontiguousarray(U.T) for U in s.members)
+    members = tuple(U.T for U in s.members)  # views: UnitarySet copies them once
     tag = None
     if s.tag is not None:
         tag = tuple(transpose_index(s.d, p).index for p in s.tag)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import entdis.states
 from entdis.gpauli import PauliIndex, PhasedPauli, to_matrix
 from entdis.states import (
     Theorem2Spec,
@@ -223,6 +224,28 @@ def test_validation_names_the_same_member_or_pair_as_the_loops():
         assert str(exc.value).startswith(want + " (")
     assert reference_validation_error(5, P) is None
     assert len(UnitarySet(5, tuple(P))) == 4
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan, np.inf])
+def test_unitarity_check_names_the_lowest_bad_member_across_blocks(bad):
+    d = 64
+    P = [to_matrix(d, PauliIndex(0, n)) for n in range(d)]
+    per_block = entdis.states._CHECK_BYTES // P[0].nbytes
+    assert 1 < per_block < d // 2
+    assert len(UnitarySet(d, tuple(P))) == d  # four blocks, all valid
+    for first in (per_block, per_block + 2):
+        members = list(P)
+        for k in (first, 2 * per_block + 1):
+            members[k] = members[k].copy()
+            if bad == 2.0:
+                members[k] *= bad
+            else:
+                members[k][1, 0] = bad
+        with np.errstate(invalid="ignore"):
+            dev = np.max(np.abs(members[first].conj().T @ members[first] - np.eye(d)))
+        with pytest.raises(ValueError) as exc:
+            UnitarySet(d, tuple(members))
+        assert str(exc.value) == f"member {first} is not unitary (deviation {dev:.2e})"
 
 
 def test_tag_must_describe_its_members():
