@@ -43,6 +43,7 @@ from itertools import combinations
 import numpy as np
 
 from .gpauli import check_dimension, check_index, is_integer
+from .serialize import number
 from .states import UnitarySet
 from .version import __version__
 
@@ -228,12 +229,6 @@ def _integer(x) -> int:
     return int(x)
 
 
-def _number(x) -> float:
-    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
-        raise ValueError(f"{x!r} is not a number")
-    return float(x)
-
-
 def _boolean(x) -> bool:
     if not isinstance(x, (bool, np.bool_)):
         raise ValueError(f"{x!r} is not a boolean")
@@ -396,8 +391,8 @@ def certificate_from_dict(doc) -> CoverCertificate | BlockCertificate:
             return BlockCertificate(
                 d=_integer(doc["d"]),
                 block_rows=tuple(_integer(r) for r in doc["block_rows"]),
-                forced_functional_residuals=tuple(_number(r) for r in doc["forced_functional_residuals"]),
-                tolerance=_number(doc["tolerance"]),
+                forced_functional_residuals=tuple(number(r) for r in doc["forced_functional_residuals"]),
+                tolerance=number(doc["tolerance"]),
                 unitaries_sha256=str(doc["unitaries_sha256"]),
                 rank_one_reduction=_boolean(doc.get("rank_one_reduction", True)),
                 tool_version=str(doc.get("tool_version", "")),

@@ -15,7 +15,9 @@ block of d consecutive restarts starts from one random orthonormal basis,
 so the starts pooled for NNLS completion resolve the identity; the witnesses
 found near them then do so far more often than those of independent
 starts.  Restarts run one after another, and each is a pure function of
-(seed, restart index), so results are reproducible.
+(seed, restart index), so results are reproducible.  Every set follows one
+stopping rule: the search ends at its first witness, and run_protocol adds
+restarts, doubling the whole blocks, only while POVM completion fails.
 
 Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
@@ -33,7 +35,7 @@ U|conj(phi)> up to normalization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -65,7 +67,7 @@ _SEED_MASK = (1 << 64) - 1
 class OptimizerConfig:
     """Random-restart search configuration.
 
-    stop_at_success skips the restarts after the first one below success_tol.
+    restarts caps the restarts of one direction, completion retries included.
     """
 
     restarts: int = 64
@@ -73,7 +75,6 @@ class OptimizerConfig:
     success_tol: float = 1e-12
     failure_floor: float = 1e-6
     seed: int = 0
-    stop_at_success: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -133,11 +134,15 @@ def penalty(alpha: np.ndarray, s: UnitarySet):
         raise ValueError(f"expected a vector of length {s.d}, got {alpha.shape}")
     if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-10:
         raise ValueError("penalty requires a unit vector")
-    W = pair_operators(s)
-    Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
-    f, grad, _, _ = K.penalty_value_grad(W, Wd, alpha)
+    f, grad, _, _ = K.penalty_value_grad(*_pair_stacks(s), alpha)
     rgrad = grad - np.real(np.vdot(alpha, grad)) * alpha
     return float(f), rgrad
+
+
+def _pair_stacks(s: UnitarySet):
+    """The pair operators W_p = U_i^dag U_j and their adjoints, as the kernels take them."""
+    W = pair_operators(s)
+    return W, np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
 
 
 @cache
@@ -238,38 +243,31 @@ def _run_restart(W, Wd, d, cfg, index):
 
 
 def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect: bool = False):
-    """Best witness over cfg.restarts seeded restarts, run in order.
+    """Witness from up to cfg.restarts seeded restarts, run in order until one is below success_tol.
 
     Each restart is one Levenberg-Marquardt solve of at most
     cfg.max_iterations iterations from the unit vector _restart_start
     picks (blocks of d restarts start from one orthonormal basis).
-
-    Selection: the lowest-index restart below success_tol, or failing that
-    the lowest residual (ties to the lower index).  stop_at_success skips
-    the restarts after the first success.
+    Selection: the lowest residual (ties to the lower index), so the
+    success the search stopped at, if any.
 
     With collect=True also returns the per-restart (residual, alpha) list
     actually evaluated, for POVM harvesting.
     """
     cfg = cfg or OptimizerConfig()
-    W = pair_operators(s)
-    Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
-
-    results = []
-    best_f, best_a = np.inf, None
+    W, Wd = _pair_stacks(s)
+    harvest = []
     for r in range(cfg.restarts):
-        f, alpha = _run_restart(W, Wd, s.d, cfg, r)
-        results.append((f, alpha))
-        if best_f >= cfg.success_tol and f < best_f:
-            best_f, best_a = f, alpha
-        if cfg.stop_at_success and f < cfg.success_tol:
+        harvest.append(_run_restart(W, Wd, s.d, cfg, r))
+        if harvest[-1][0] < cfg.success_tol:
             break
 
-    best_a = np.array(best_a)
-    best_a.setflags(write=False)
-    witness = Witness(s.d, best_a, float(best_f))
+    f, alpha = min(harvest, key=lambda result: result[0])
+    alpha = np.array(alpha)
+    alpha.setflags(write=False)
+    witness = Witness(s.d, alpha, float(f))
     if collect:
-        return witness, results
+        return witness, harvest
     return witness
 
 
@@ -484,17 +482,22 @@ def certify_direction(s: UnitarySet):
 def run_protocol(s: UnitarySet, cfg: OptimizerConfig, trials: int = SIMULATION_TRIALS):
     """Witness search, POVM completion and, if completion succeeds, simulation.
 
-    Returns (witness, restarts used, POVM or None, simulated success rate or
-    None).  Untagged sets run every restart: NNLS completion pools the whole
-    harvest.
+    One rule for every set: witness_search stops at its first witness; while
+    completion fails, the harvest grows to d, 2d, 4d, ... restarts (capped
+    at cfg.restarts) and completion is retried.  Orbit completion (tagged
+    sets) needs only the witness, NNLS completion pools the harvest.
+    Returns (witness, restarts used, POVM or None, success rate or None).
     """
-    search_cfg = cfg if s.tag is not None else replace(cfg, stop_at_success=False)
-    witness, harvest = witness_search(s, search_cfg, collect=True)
-    povm = rate = None
-    if witness.residual < cfg.success_tol:
+    witness, harvest = witness_search(s, cfg, collect=True)
+    povm = stacks = None
+    while witness.residual < cfg.success_tol:
         povm = povm_completion(s, witness, harvest, success_tol=cfg.success_tol)
-        if povm is not None:
-            rate = simulate_protocol(s, povm, trials, cfg.seed)
+        if povm is not None or len(harvest) >= cfg.restarts:
+            break
+        stacks = stacks or _pair_stacks(s)
+        size = min(s.d << (len(harvest) // s.d).bit_length(), cfg.restarts)  # next d * 2^j
+        harvest += [_run_restart(*stacks, s.d, cfg, r) for r in range(len(harvest), size)]
+    rate = None if povm is None else simulate_protocol(s, povm, trials, cfg.seed)
     return witness, len(harvest), povm, rate
 
 

@@ -2,8 +2,8 @@
 
 Everything written to disk goes through ``canonical_json`` so that repeated
 runs with identical inputs produce byte-identical files: keys are sorted,
-floats use Python's shortest round-trip repr, and numpy scalars are cast to
-plain Python types first.
+floats use Python's shortest round-trip repr, and numpy scalars and arrays
+are encoded as the Python values they hold.
 """
 from __future__ import annotations
 
@@ -13,28 +13,18 @@ import json
 import numpy as np
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and sets to JSON-safe types."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+def _json_default(obj):
+    """numpy scalars and arrays as Python values, sets as sorted lists."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     if isinstance(obj, (set, frozenset)):
-        return [jsonable(v) for v in sorted(obj)]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+        return sorted(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and a trailing newline (byte-deterministic)."""
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_json_default) + "\n"
 
 
 def sha256_hex(text: str) -> str:
@@ -46,10 +36,17 @@ def complex_to_pair(z) -> list:
     return [float(z.real), float(z.imag)]
 
 
+def number(x) -> float:
+    """A JSON number as a float; Python and numpy ints and floats qualify, bools and strings do not."""
+    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a number")
+    return float(x)
+
+
 def pair_to_complex(pair) -> complex:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ValueError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(number(pair[0]), number(pair[1]))
 
 
 def matrix_to_json(mat: np.ndarray) -> list:

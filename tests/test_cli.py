@@ -138,6 +138,17 @@ def test_decide_rejects_bad_files(tmp_path):
     assert run(["decide", bad]) == 2
 
 
+def test_decide_rejects_strings_and_booleans_as_numbers(tmp_path, capsys):
+    sf = tmp_path / "strings.json"
+    member = [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]
+    sf.write_text(json.dumps({"d": 2, "type": "explicit", "unitaries": [member, matrix_to_json(np.eye(2))]}))
+    assert run(["decide", sf]) == 2
+    assert "error: '1' is not a number" in capsys.readouterr().err
+    sf.write_text(json.dumps({"d": 7, "type": "theorem2", "omega": [1, False]}))
+    assert run(["decide", sf]) == 2
+    assert "error: False is not a number" in capsys.readouterr().err
+
+
 def test_decide_rejects_non_finite_members(tmp_path, capsys):
     sf = tmp_path / "nan.json"
     nan_member = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]

@@ -13,6 +13,7 @@ from entdis.search import (
     _answer_table,
     _levenberg,
     _merge_up_to_phase,
+    _pair_stacks,
     _restart_start,
     _run_restart,
     _spd_solve,
@@ -25,12 +26,19 @@ from entdis.search import (
     povm_completion,
     povm_identity_residual,
     povm_orthogonality_residual,
+    run_protocol,
     simulate_protocol,
     witness_search,
     Witness,
 )
 from entdis.serialize import canonical_json
 from entdis.states import Theorem2Spec, UnitarySet, bell_set, theorem1_set, theorem2_set
+
+
+def all_restarts(s, cfg=OptimizerConfig()):
+    """All cfg.restarts restarts in order, past any success (the search stops at the first)."""
+    W, Wd = _pair_stacks(s)
+    return [_run_restart(W, Wd, s.d, cfg, r) for r in range(cfg.restarts)]
 
 
 def ix_pair(d, rng):
@@ -121,18 +129,31 @@ def test_half_gradient_is_jacobian_transpose_residual():
 
 def test_every_restart_solves_untagged_ix_pair():
     s = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
-    _, harvest = witness_search(s, OptimizerConfig(stop_at_success=False), collect=True)
+    harvest = all_restarts(s)
     assert len(harvest) == 64
     assert max(f for f, _ in harvest) < 1e-28
     assert decide_direction(s).kind == "distinguishable"
+
+
+def test_untagged_ix_pair_completes_from_one_block():
+    # restart 0 succeeds, one witness cannot resolve the identity, so the
+    # harvest grows to the first whole block of d = 2 starts
+    s = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    dec = decide(s)
+    for v in (dec.a_to_b, dec.b_to_a):
+        assert v.kind == "distinguishable" and v.simulated_success == 1.0
+        assert v.restarts_used == 2
 
 
 def test_restart_is_pure_function_of_seed_and_index():
     s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
     W = pair_operators(s)
     Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
-    cfg = OptimizerConfig(restarts=6, stop_at_success=False, seed=5)
-    _, harvest = witness_search(s, cfg, collect=True)
+    cfg = OptimizerConfig(restarts=6, seed=5)
+    harvest = all_restarts(s, cfg)
+    _, prefix = witness_search(s, cfg, collect=True)
+    for (f, alpha), (g, beta) in zip(prefix, harvest):
+        assert f == g and np.array_equal(alpha, beta)
     for k in (5, 0, 3):
         f, alpha = _run_restart(W, Wd, s.d, cfg, k)
         assert f == harvest[k][0]
@@ -250,14 +271,27 @@ def test_restart_pools_differ_between_seeds():
         assert len(pools) == 64, d
 
 
-def test_first_success_wins_without_stop_at_success():
-    # dozens of restarts end between 1e-35 and 1e-32 here; the witness is the
-    # first of them, not whichever rounds lowest
+def test_protocol_witness_is_the_first_success():
+    # completion grows the harvest past the first success, and several of the
+    # added restarts end between 1e-35 and 1e-32 here; the witness stays the
+    # first success, not whichever rounds lowest
     s = UnitarySet(5, bell_set(5, [(0, 0), (1, 2)]).members)
-    first = witness_search(s)
-    full, harvest = witness_search(s, OptimizerConfig(stop_at_success=False), collect=True)
-    assert len(harvest) == 64 and sum(f < 1e-12 for f, _ in harvest) > 1
-    assert np.array_equal(full.alpha, first.alpha) and full.residual == first.residual
+    first, prefix = witness_search(s, collect=True)
+    witness, used, povm, _ = run_protocol(s, OptimizerConfig())
+    assert povm is not None and used > len(prefix)
+    assert sum(f < 1e-12 for f, _ in all_restarts(s)[:used]) > 1
+    assert witness.alpha.tobytes() == first.alpha.tobytes() and witness.residual == first.residual
+
+
+def test_untagged_d8_pair_runs_every_restart_and_tagged_one():
+    # NNLS cannot resolve the identity at d=8 from 64 witnesses, so the
+    # untagged pair grows its harvest to the cap; the orbit completes at once
+    untagged = decide(UnitarySet(8, bell_set(8, [(0, 0), (1, 2)]).members))
+    tagged = decide(bell_set(8, [(0, 0), (1, 2)]))
+    for v in (untagged.a_to_b, untagged.b_to_a):
+        assert v.kind == "unknown" and v.restarts_used == 64
+    for v in (tagged.a_to_b, tagged.b_to_a):
+        assert v.kind == "distinguishable" and v.restarts_used == 1
 
 
 def test_decide_untagged_d6_pairs_at_default_config():
@@ -276,11 +310,11 @@ def test_damped_search_solves_sampled_qutrit_triples():
     # on (0,2),(1,0),(2,1) and (0,2),(1,1),(2,0)
     labels = [(m, n) for m in range(3) for n in range(3)]
     triples = list(combinations(labels, 3))
-    cfg = OptimizerConfig(stop_at_success=False)
+    cfg = OptimizerConfig()
     for pick in np.random.default_rng(31).choice(len(triples), size=12, replace=False):
         triple = triples[pick]
         s = UnitarySet(3, bell_set(3, triple).members)
-        _, harvest = witness_search(s, cfg, collect=True)
+        harvest = all_restarts(s, cfg)
         assert all(f < cfg.success_tol for f, _ in harvest), triple
 
 
@@ -350,8 +384,8 @@ def test_povm_completion_untagged_single_witness_incomplete():
 
 def test_povm_completion_untagged_with_harvest():
     s = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
-    cfg = OptimizerConfig(stop_at_success=False, restarts=32)
-    w, harvest = witness_search(s, cfg, collect=True)
+    cfg = OptimizerConfig(restarts=32)
+    w, harvest = witness_search(s, cfg), all_restarts(s, cfg)
     p = povm_completion(s, w, harvest)
     assert p is not None
     assert povm_identity_residual(p, 2) < 1e-8
@@ -488,7 +522,8 @@ def random_unit(rng, d):
 def simulation_cases():
     rng = np.random.default_rng(23)
     untagged = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
-    w, harvest = witness_search(untagged, OptimizerConfig(stop_at_success=False, restarts=8), collect=True)
+    cfg = OptimizerConfig(restarts=8)
+    w, harvest = witness_search(untagged, cfg), all_restarts(untagged, cfg)
     return [
         ("coin_flip", bell_set(2, [(0, 0), (0, 1)]), orbit_povm(2, np.array([1, 1], dtype=complex) / np.sqrt(2))),
         ("theorem2_d7_e0", theorem2_set(Theorem2Spec(7)), orbit_povm(7, np.eye(7, dtype=complex)[0])),
@@ -521,7 +556,7 @@ def reference_identity_residual(povm, d):
 def test_identity_residual_matches_per_element_reference():
     rng = np.random.default_rng(37)
     untagged = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
-    w, harvest = witness_search(untagged, OptimizerConfig(stop_at_success=False), collect=True)
+    w, harvest = witness_search(untagged), all_restarts(untagged)
     cases = [(20, orbit_povm(20, random_unit(rng, 20))), (2, povm_completion(untagged, w, harvest))]
     for d, povm in cases:
         assert abs(povm_identity_residual(povm, d) - reference_identity_residual(povm, d)) < 1e-15
@@ -624,6 +659,19 @@ def test_decide_json_deterministic():
     assert doc["reports"][0]["verdict"] == "indistinguishable"
     assert doc["reports"][0]["certificate"]["kind"] == "fourier_cover"
     assert doc["one_way_indistinguishable"] is True
+
+
+def test_canonical_json_pins_numpy_sets_and_tuples():
+    doc = {
+        "t": (np.int64(3), (np.float64(2.0) / 3, np.bool_(True))),
+        "a": np.array([[1.5], [-0.0]]),
+        "s": frozenset({np.int64(5), 1}),
+        "b": np.bool_(False),
+    }
+    assert canonical_json(doc) == (
+        '{\n  "a": [\n    [\n      1.5\n    ],\n    [\n      -0.0\n    ]\n  ],\n  "b": false,\n'
+        '  "s": [\n    1,\n    5\n  ],\n  "t": [\n    3,\n    [\n      0.6666666666666666,\n      true\n    ]\n  ]\n}\n'
+    )
 
 
 def test_orbit_povm_identity_for_random_pairs():

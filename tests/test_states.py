@@ -281,6 +281,18 @@ def test_set_from_dict_rejects_non_integer_labels():
     assert set_from_dict({"d": 4, "type": "generalized_bell", "indices": [[0, 0], [1, 0]]}).tag == ((0, 0), (1, 0))
 
 
+def test_set_from_dict_rejects_strings_and_booleans_as_numbers():
+    X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    for entry, bad in ((["1", 0], "'1'"), ([True, 0], "True"), ([1, False], "False")):
+        member = [[entry, [0, 0]], [[0, 0], [1, 0]]]
+        with pytest.raises(ValueError, match=f"^{bad} is not a number$"):
+            set_from_dict({"d": 2, "type": "explicit", "unitaries": [member, X]})
+    with pytest.raises(ValueError, match="^'1' is not a number$"):
+        set_from_dict({"d": 7, "type": "theorem2", "omega": ["1", False]})
+    s = set_from_dict({"d": 2, "type": "explicit", "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1.0, 0.0]]], X]})
+    assert np.array_equal(s.members[1], [[0, 1], [1, 0]])
+
+
 def test_set_dict_round_trips():
     s = bell_set(3, [(0, 0), (1, 2)])
     doc = set_to_dict(s)
