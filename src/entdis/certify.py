@@ -42,8 +42,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .gpauli import check_dimension, check_index, is_integer
-from .serialize import number
+from .gpauli import check_dimension, check_index
+from .serialize import boolean, integer, number
 from .states import UnitarySet
 from .version import __version__
 
@@ -223,20 +223,8 @@ def hermitian_feasible_subspace(s: UnitarySet) -> FeasibleSubspace:
 # ---------------------------------------------------------------------------
 
 
-def _integer(x) -> int:
-    if not is_integer(x):
-        raise ValueError(f"{x!r} is not an integer")
-    return int(x)
-
-
-def _boolean(x) -> bool:
-    if not isinstance(x, (bool, np.bool_)):
-        raise ValueError(f"{x!r} is not a boolean")
-    return bool(x)
-
-
 def _check_block_rows(d: int, block_rows) -> tuple:
-    rows = tuple(_integer(r) for r in block_rows)
+    rows = tuple(integer(r) for r in block_rows)
     if len(rows) != 2 or rows[0] == rows[1] or not all(0 <= r < d for r in rows):
         raise ValueError(f"block rows {rows} are not two distinct rows of dimension {d}")
     return tuple(sorted(rows))
@@ -379,22 +367,22 @@ def certificate_from_dict(doc) -> CoverCertificate | BlockCertificate:
             num, den = doc["uniform_modulus"]
             indices = doc.get("indices")
             return CoverCertificate(
-                d=_integer(doc["d"]),
-                shift0_frequencies=frozenset(_integer(f) for f in doc["shift0_frequencies"]),
-                witness_shift=_integer(doc["witness_shift"]),
-                shiftN_frequencies=frozenset(_integer(f) for f in doc["shiftN_frequencies"]),
-                uniform_modulus=Fraction(_integer(num), _integer(den)),
-                indices=None if indices is None else tuple((_integer(p[0]), _integer(p[1])) for p in indices),
+                d=integer(doc["d"]),
+                shift0_frequencies=frozenset(integer(f) for f in doc["shift0_frequencies"]),
+                witness_shift=integer(doc["witness_shift"]),
+                shiftN_frequencies=frozenset(integer(f) for f in doc["shiftN_frequencies"]),
+                uniform_modulus=Fraction(integer(num), integer(den)),
+                indices=None if indices is None else tuple((integer(p[0]), integer(p[1])) for p in indices),
                 tool_version=str(doc.get("tool_version", "")),
             )
         if kind == "forced_block":
             return BlockCertificate(
-                d=_integer(doc["d"]),
-                block_rows=tuple(_integer(r) for r in doc["block_rows"]),
+                d=integer(doc["d"]),
+                block_rows=tuple(integer(r) for r in doc["block_rows"]),
                 forced_functional_residuals=tuple(number(r) for r in doc["forced_functional_residuals"]),
                 tolerance=number(doc["tolerance"]),
                 unitaries_sha256=str(doc["unitaries_sha256"]),
-                rank_one_reduction=_boolean(doc.get("rank_one_reduction", True)),
+                rank_one_reduction=boolean(doc.get("rank_one_reduction", True)),
                 tool_version=str(doc.get("tool_version", "")),
             )
     except (KeyError, TypeError, ValueError) as exc:

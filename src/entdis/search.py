@@ -22,9 +22,10 @@ restarts, doubling the whole blocks, only while POVM completion fails.
 Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
 constraint matrix); run_protocol runs search, POVM completion and the
-protocol simulation, each batched over all POVM outcomes with einsum (a
-threaded BLAS call on arrays this small only adds spinning threads);
-decide_direction chains the two.  scipy is imported on first use: LAPACK
+protocol simulation.  The orbit overlaps of completion and the simulation's
+products over all POVM outcomes are einsum calls, not @: a threaded BLAS
+call on arrays this small only adds spinning threads.  decide_direction
+chains the two.  scipy is imported on first use: LAPACK
 dposv by the first damped solve, nnls by untagged completion, so a
 direction that a prover certifies runs on numpy alone.
 
@@ -276,37 +277,25 @@ def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect
 # ---------------------------------------------------------------------------
 
 
-def _merge_up_to_phase(V, weights):
-    """Collapse rows of V equal up to a global phase, accumulating weights in order.
-
-    Returns the index of each class's first row and the class weights; each
-    new representative claims every later unclaimed match in one matvec.
-    """
-    w = np.asarray(weights, dtype=float)
-    free = np.ones(len(V), dtype=bool)
-    reps, acc = [], []
-    for k in range(len(V)):
-        if free[k]:
-            claim = free[k:] & (np.abs(np.einsum("kd,d->k", V[k:], np.conj(V[k]))) > 1.0 - _MERGE_TOL)
-            claim[0] = True
-            free[k:] &= ~claim
-            reps.append(k)
-            acc.append(np.cumsum(w[k:][claim])[-1])
-    return np.array(reps), np.array(acc)
-
-
 def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
-    """POVM from the full Pauli orbit of a Bob-side vector.
+    """POVM from the full Pauli orbit of a Bob-side unit vector.
 
-    The d^2 vectors U_{mn} alpha with weights 1/d resolve the identity
+    The d^2 vectors U_t alpha with weights 1/d resolve the identity
     (averaging a rank-one projector over all Pauli conjugations yields
-    Tr(rho) I); stored elements are the Alice-side conjugates, with
-    phase-equal duplicates merged.
+    Tr(rho) I); stored elements are the Alice-side conjugates.  U_r alpha and
+    U_s alpha are equal up to phase exactly when U_{s-r} (a phase times
+    U_r^dag U_s) fixes alpha up to phase, so the equal elements are the cosets
+    of alpha's stabilizer S = {t : |<alpha|U_t alpha>| > 1 - _MERGE_TOL}.
+    Each coset keeps its lowest label, with weight |S|/d.
     """
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
-    V = np.conj([to_matrix(d, p) @ alpha for p in all_indices(d)])
-    reps, acc = _merge_up_to_phase(V, np.full(d * d, 1.0 / d))
-    return Povm(acc, V[reps])
+    if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-10:
+        raise ValueError("orbit_povm requires a unit vector")
+    V = np.conj([to_matrix(d, p) @ alpha for p in all_indices(d)])  # row m*d + n: label (m, n)
+    stab = np.flatnonzero(np.abs(np.einsum("kd,d->k", V, alpha)) > 1.0 - _MERGE_TOL)
+    m, n = np.divmod(np.arange(d * d)[:, None], d)
+    reps = np.unique(((m + stab // d) % d * d + (n + stab % d) % d).min(axis=1))  # lowest label of each coset
+    return Povm(np.full(len(reps), len(stab) / d), V[reps])
 
 
 def povm_identity_residual(p: Povm, d: int) -> float:
@@ -328,7 +317,9 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
 
     Pauli-tagged sets use the orbit construction (every orbit point is again
     a witness because conjugation preserves index differences up to phase).
-    Otherwise all supplied witnesses below success_tol are pooled and
+    Otherwise all supplied witnesses below success_tol are pooled, the first
+    of each phase class (|<a|b>| > 1 - _MERGE_TOL in one overlap einsum;
+    rounding keeps twin columns apart, so NNLS could pick either), and
     nonnegative least squares looks for weights resolving the identity.
     """
     if w.residual >= success_tol:
@@ -339,8 +330,8 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
         povm = orbit_povm(s.d, w.alpha)
     else:
         pool = np.array([w.alpha] + [alpha for res, alpha in extra_witnesses if res < success_tol])
-        reps, _ = _merge_up_to_phase(pool, np.zeros(len(pool)))
-        phis = np.conj(pool[reps])
+        twins = np.abs(np.einsum("id,jd->ij", np.conj(pool), pool)) > 1.0 - _MERGE_TOL
+        phis = np.conj(pool[np.argmax(twins, axis=0) == np.arange(len(pool))])  # first of each phase class
         cols = hermitian_coords(phis[:, :, None] * np.conj(phis)[:, None, :]).T
         from scipy.optimize import nnls  # only untagged completion needs scipy.optimize
         weights, _ = nnls(cols, hermitian_coords(np.eye(s.d, dtype=np.complex128)))

@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 
+from .gpauli import is_integer
+
 
 def _json_default(obj):
     """numpy scalars and arrays as Python values, sets as sorted lists."""
@@ -34,6 +36,20 @@ def sha256_hex(text: str) -> str:
 def complex_to_pair(z) -> list:
     z = complex(z)
     return [float(z.real), float(z.imag)]
+
+
+def integer(x) -> int:
+    """A JSON integer as an int; Python and numpy ints qualify, bools and floats do not."""
+    if not is_integer(x):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
+def boolean(x) -> bool:
+    """A JSON boolean as a bool; Python and numpy bools qualify, numbers and strings do not."""
+    if not isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{x!r} is not a boolean")
+    return bool(x)
 
 
 def number(x) -> float:

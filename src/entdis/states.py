@@ -60,15 +60,16 @@ class UnitarySet:
                 raise ValueError(f"member {k} has shape {np.shape(U)}, expected {(d, d)}")
         M = np.array(self.members, dtype=np.complex128)
         M.setflags(write=False)
+        gram = np.empty((len(M), len(M)))  # |Tr(U_i^dag U_j)|, filled one block of rows at a time
         step = max(1, _CHECK_BYTES // M[0].nbytes)  # temporaries of U^dag U - I stay near _CHECK_BYTES
         for lo in range(0, len(M), step):
             B = M[lo : lo + step]
             with np.errstate(invalid="ignore"):  # inf entries give nan deviations, rejected below
                 err = np.max(np.abs(np.conj(np.swapaxes(B, 1, 2)) @ B - np.eye(d)), axis=(1, 2))
+                gram[lo : lo + step] = np.abs(np.einsum("iab,jab->ij", np.conj(B), M))
             bad = np.flatnonzero(~(err <= UNITARY_TOL))
             if bad.size:
                 raise ValueError(f"member {lo + bad[0]} is not unitary (deviation {err[bad[0]]:.2e})")
-        gram = np.abs(np.einsum("iab,jab->ij", np.conj(M), M))  # |Tr(U_i^dag U_j)|
         gram[np.tril_indices(len(M))] = 0.0
         bad = np.argwhere(~(gram <= ORTHO_TOL))
         if bad.size:

@@ -12,7 +12,6 @@ from entdis.search import (
     Povm,
     _answer_table,
     _levenberg,
-    _merge_up_to_phase,
     _pair_stacks,
     _restart_start,
     _run_restart,
@@ -427,7 +426,7 @@ def test_simulate_validates_input():
 
 
 # Reference implementations: the per-outcome receiver-basis loop and the
-# pairwise phase merge that the batched versions in entdis.search replace.
+# pairwise phase merge that orbit cosets and the NNLS pool's phase classes replace.
 
 
 def reference_receiver_basis(s, phi):
@@ -563,27 +562,47 @@ def test_identity_residual_matches_per_element_reference():
         assert povm_identity_residual(povm, d) < 1e-10
 
 
-def test_claiming_merge_matches_pairwise_reference():
+def test_orbit_povm_keeps_one_element_per_stabilizer_coset():
     rng = np.random.default_rng(29)
-    e0 = np.eye(5, dtype=complex)[0]
     flat = np.ones(6, dtype=complex) / np.sqrt(6)
     phased = np.exp(2j * np.pi * rng.random(4)) / 2
-    vecs = [random_unit(rng, 4) for _ in range(12)]
-    for k in (3, 7, 7, 11, 0):
-        vecs.insert(int(rng.integers(0, len(vecs) + 1)), np.exp(2j * np.pi * rng.random()) * vecs[k])
-    cases = [
-        [np.conj(to_matrix(5, p) @ e0) for p in all_indices(5)],
-        [np.conj(to_matrix(6, p) @ flat) for p in all_indices(6)],
-        [np.conj(to_matrix(4, p) @ phased) for p in all_indices(4)],
-        vecs,
-    ]
-    for vectors, classes in zip(cases, (5, 6, 16, 12)):
-        for weights in ([1.0 / 5] * len(vectors), list(rng.random(len(vectors)))):
-            reps, acc = _merge_up_to_phase(np.array(vectors), weights)
-            want_reps, want_acc = reference_merge(vectors, weights)
-            assert len(reps) == len(want_reps) == classes
-            assert reps.tolist() == want_reps
-            assert acc.tolist() == want_acc
+    # an eigenvector of U_(1,1) is one of U_(2,2) too, fixed by the diagonal {(k, k)} off both axes
+    diagonal = np.linalg.eig(to_matrix(4, (1, 1)))[1][:, 0]
+    triple = witness_search(bell_set(3, [(0, 0), (1, 0), (0, 1)])).alpha
+    cases = [(5, np.eye(5, dtype=complex)[0], 5), (6, flat, 6), (4, phased, 16), (4, diagonal, 4), (3, triple, 3)]
+    for d, alpha, size in cases:
+        vectors = [np.conj(to_matrix(d, p) @ alpha) for p in all_indices(d)]
+        want_reps, want_acc = reference_merge(vectors, [1.0 / d] * d * d)
+        povm = orbit_povm(d, alpha)
+        assert len(povm) == len(want_reps) == size, d
+        assert np.array_equal(povm.vectors, np.array(vectors)[want_reps]), d
+        assert np.max(np.abs(povm.weights - want_acc)) <= 1e-15, d
+        assert np.allclose(povm.weights, d / size), d
+
+
+def test_orbit_povm_rejects_non_unit_vector():
+    with pytest.raises(ValueError, match="unit vector"):
+        orbit_povm(3, np.array([1, 1, 0], dtype=complex))
+
+
+def test_nnls_completion_keeps_one_witness_per_phase_class():
+    rng = np.random.default_rng(41)
+    ix = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    triple = UnitarySet(3, bell_set(3, [(0, 0), (1, 0), (0, 1)]).members)
+    for s in (ix, triple):
+        cfg = OptimizerConfig(restarts=8)
+        w, harvest = witness_search(s, cfg), all_restarts(s, cfg)
+        phased = harvest + [(f, np.exp(2j * np.pi * rng.random()) * a) for f, a in harvest]
+        pool = [w.alpha] + [a for f, a in harvest if f < cfg.success_tol]
+        reps, _ = reference_merge(pool, [0.0] * len(pool))  # reps[0] is the witness itself
+        merged = povm_completion(s, w, [(0.0, pool[r]) for r in reps[1:]])
+        alone, doubled = povm_completion(s, w, harvest), povm_completion(s, w, phased)
+        assert alone is not None and doubled is not None, s.d
+        assert np.array_equal(alone.weights, merged.weights), s.d
+        assert np.array_equal(alone.vectors, merged.vectors), s.d
+        assert np.array_equal(alone.weights, doubled.weights), s.d
+        overlaps = np.abs(np.einsum("kd,kd->k", np.conj(alone.vectors), doubled.vectors))
+        assert np.all(overlaps > 1.0 - 1e-12), s.d
 
 
 def test_decide_certified_family_both_directions():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,28 @@ def test_unitarity_check_names_the_lowest_bad_member_across_blocks(bad):
         with pytest.raises(ValueError) as exc:
             UnitarySet(d, tuple(members))
         assert str(exc.value) == f"member {first} is not unitary (deviation {dev:.2e})"
+
+
+def test_orthogonality_check_names_a_pair_across_blocks():
+    d = 64
+    P = [to_matrix(d, PauliIndex(0, n)) for n in range(d)]
+    per_block = entdis.states._CHECK_BYTES // P[0].nbytes
+    P[per_block + 1] = np.exp(0.3j) * P[1]
+    with pytest.raises(ValueError) as exc:
+        UnitarySet(d, tuple(P))
+    assert str(exc.value).startswith(f"members 1 and {per_block + 1} are not trace-orthogonal (|Tr| = 6.40e+01)")
+
+
+def test_validation_holds_the_member_stack_once():
+    members = theorem1_set(128).members
+    stack = np.array(members).nbytes
+    tracemalloc.start()
+    try:
+        UnitarySet(128, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack, (peak, stack)
 
 
 def test_tag_must_describe_its_members():
