@@ -112,10 +112,9 @@ def to_matrix(d, p) -> np.ndarray:
     else:
         phase, idx = 0, p
     m, n = check_index(d, idx)
-    w = phase_table(d)
+    j = np.arange(d)
     mat = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        mat[(j + n) % d, j] = w[(phase + m * j) % d]
+    mat[(j + n) % d, j] = phase_table(d)[(phase + m * j) % d]
     return mat
 
 

@@ -22,11 +22,11 @@ restarts, doubling the whole blocks, only while POVM completion fails.
 Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
 constraint matrix); run_protocol runs search, POVM completion and the
-protocol simulation.  The orbit overlaps of completion and the simulation's
-products over all POVM outcomes are einsum calls, not @: a threaded BLAS
-call on arrays this small only adds spinning threads.  decide_direction
-chains the two.  scipy is imported on first use: LAPACK
-dposv by the first damped solve, nnls by untagged completion, so a
+protocol simulation on whole arrays: the orbit from label arithmetic,
+two-operand POVM residuals, one cumulative answer table.  Their products are
+einsum calls, not @: a complex @ this size wakes a spinning BLAS helper
+thread.  decide_direction chains the two.  scipy is imported on first use:
+LAPACK dposv by the first damped solve, nnls by untagged completion, so a
 direction that a prover certifies runs on numpy alone.
 
 Conventions: the stored witness alpha lives on the receiving (Bob) side;
@@ -52,7 +52,8 @@ from .certify import (
     scan_blocks,
     verify_certificate,
 )
-from .gpauli import all_indices, to_matrix
+# all_indices and to_matrix go unused but stay importable: decidebench's tracer wraps them by name
+from .gpauli import all_indices, phase_table, to_matrix  # noqa: F401
 from .serialize import complex_to_pair
 from .states import UnitarySet, transpose_set
 from .version import __version__
@@ -61,6 +62,7 @@ IDENTITY_TOL = 1e-8
 ELEMENT_ORTHO_TOL = 1e-6
 SIMULATION_TRIALS = 10_000
 _MERGE_TOL = 1e-10
+_BLOCK_BYTES = 1 << 20
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -282,7 +284,8 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
 
     The d^2 vectors U_t alpha with weights 1/d resolve the identity
     (averaging a rank-one projector over all Pauli conjugations yields
-    Tr(rho) I); stored elements are the Alice-side conjugates.  U_r alpha and
+    Tr(rho) I); stored elements are the Alice-side conjugates, gathered from
+    the labels: (U_mn alpha)_k = w^{m(k-n)} alpha_{k-n}.  U_r alpha and
     U_s alpha are equal up to phase exactly when U_{s-r} (a phase times
     U_r^dag U_s) fixes alpha up to phase, so the equal elements are the cosets
     of alpha's stabilizer S = {t : |<alpha|U_t alpha>| > 1 - _MERGE_TOL}.
@@ -291,7 +294,9 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
     if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-10:
         raise ValueError("orbit_povm requires a unit vector")
-    V = np.conj([to_matrix(d, p) @ alpha for p in all_indices(d)])  # row m*d + n: label (m, n)
+    k = np.arange(d)
+    j = (k - k[:, None]) % d  # j[n, k] = k - n mod d; row m*d + n of V holds label (m, n)
+    V = (np.conj(phase_table(d))[k[:, None, None] * j % d] * np.conj(alpha)[j]).reshape(d * d, d)
     stab = np.flatnonzero(np.abs(np.einsum("kd,d->k", V, alpha)) > 1.0 - _MERGE_TOL)
     m, n = np.divmod(np.arange(d * d)[:, None], d)
     reps = np.unique(((m + stab // d) % d * d + (n + stab % d) % d).min(axis=1))  # lowest label of each coset
@@ -301,15 +306,17 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
 def povm_identity_residual(p: Povm, d: int) -> float:
     """Max-entry deviation of sum_k m_k |phi_k><phi_k| from the identity."""
     V = p.vectors
-    acc = np.einsum("k,kd,ke->de", p.weights, V, np.conj(V)) - np.eye(d)
+    acc = np.einsum("kd,ke->de", p.weights[:, None] * V, np.conj(V)) - np.eye(d)
     return float(np.max(np.abs(acc)))
 
 
 def povm_orthogonality_residual(p: Povm, s: UnitarySet) -> float:
     """Largest |<conj(phi_k)| U_i^dag U_j |conj(phi_k)>| over elements and pairs."""
     B = np.conj(p.vectors)
-    g = np.einsum("pde,ke,kd->pk", pair_operators(s), B, np.conj(B))  # (pairs, K)
-    return float(np.max(np.abs(g)))
+    W = pair_operators(s)
+    step = max(1, _BLOCK_BYTES // B.nbytes)  # W_p b_k over a block of pairs stays near _BLOCK_BYTES
+    WB = (np.einsum("pde,ke->pkd", W[lo : lo + step], B) for lo in range(0, len(W), step))
+    return float(max(np.max(np.abs(np.einsum("pkd,kd->pk", x, np.conj(B)))) for x in WB))
 
 
 def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: float = 1e-12):
@@ -386,6 +393,7 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
     the label he lands on.  The POVM must resolve the identity; per-outcome
     orthogonality is exactly what the simulation measures, so it is not a
     precondition.  Completion directions carry only the leftover mass.
+    Each trial reads row k*n + i of one cumulative answer table.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -406,7 +414,7 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
     k_cum[-1] = 1.0
     k_draw = np.searchsorted(k_cum, rng.random(trials), side="right")
     u = rng.random(trials)
-    rows = np.cumsum(conf[k_draw, i_draw], axis=1)
+    rows = np.cumsum(conf, axis=2).reshape(-1, len(s) + 1)[k_draw * len(s) + i_draw]
     r_draw = (u[:, None] < rows).argmax(axis=1)
     answers = np.where(r_draw < len(s), r_draw, leftover[k_draw])
     return float(np.mean(answers == i_draw))

@@ -98,6 +98,13 @@ class UnitarySet:
         object.__setattr__(self, "members", tuple(M))
         object.__setattr__(self, "tag", tag)
 
+    @classmethod
+    def _from_valid(cls, d, M, tag):
+        """A set from a read-only (N, d, d) stack and a tag known to pass the checks above."""
+        s = object.__new__(cls)
+        s.__dict__.update(d=d, members=tuple(M), tag=tag)
+        return s
+
     def __len__(self):
         return len(self.members)
 
@@ -235,13 +242,16 @@ def transpose_set(s: UnitarySet) -> UnitarySet:
     Deciding the A->B direction on the transposed set decides B->A on the
     original.  Pauli tags map (m, n) -> (m, -n mod d); the accompanying
     w^{-mn} member phases are kept in the matrices and are irrelevant to all
-    downstream consumers.
+    downstream consumers.  The checks are not run again, since transposition
+    preserves each of them: U^T is unitary when U is, Tr(conj(U_i) U_j^T) =
+    Tr(U_i^dag U_j), and (c U_mn)^T = c w^{-mn} U_{m, -n} fits the mapped tag.
     """
-    members = tuple(U.T for U in s.members)  # views: UnitarySet copies them once
+    M = np.array([U.T for U in s.members])
+    M.setflags(write=False)
     tag = None
     if s.tag is not None:
         tag = tuple(transpose_index(s.d, p).index for p in s.tag)
-    return UnitarySet(s.d, members, tag=tag)
+    return UnitarySet._from_valid(s.d, M, tag)
 
 
 def entangled_vector(U: np.ndarray) -> np.ndarray:

@@ -111,6 +111,24 @@ def test_to_matrix_phased_qutrit():
     assert np.max(np.abs(got - omega(3) * to_matrix(3, PauliIndex(1, 1)))) < TOL
 
 
+def reference_to_matrix(d, phase, m, n):
+    """The per-column loop that to_matrix's single fancy assignment replaces."""
+    w = np.exp(2j * np.pi * np.arange(d) / d)
+    mat = np.zeros((d, d), dtype=np.complex128)
+    for j in range(d):
+        mat[(j + n) % d, j] = w[(phase + m * j) % d]
+    return mat
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_to_matrix_matches_column_loop(d):
+    for m, n in all_indices(d):
+        assert np.array_equal(to_matrix(d, PauliIndex(m, n)), reference_to_matrix(d, 0, m, n))
+        for phase in range(d):
+            got = to_matrix(d, PhasedPauli(phase, PauliIndex(m, n)))
+            assert np.array_equal(got, reference_to_matrix(d, phase, m, n)), (m, n, phase)
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 def test_to_matrix_unitary(d):
     for p in all_indices(d):

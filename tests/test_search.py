@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entdis import _kernels as K
+from entdis import search
 from entdis.gpauli import all_indices, to_matrix
 from entdis.search import (
     _MERGE_TOL,
@@ -578,6 +579,87 @@ def test_orbit_povm_keeps_one_element_per_stabilizer_coset():
         assert np.array_equal(povm.vectors, np.array(vectors)[want_reps]), d
         assert np.max(np.abs(povm.weights - want_acc)) <= 1e-15, d
         assert np.allclose(povm.weights, d / size), d
+
+
+# Reference copies of the dense protocol tail that label arithmetic, two-operand
+# contractions and the cumulative answer table replace.
+
+
+def reference_orbit_povm(d, alpha):
+    V = np.conj([to_matrix(d, p) @ alpha for p in all_indices(d)])
+    stab = np.flatnonzero(np.abs(np.einsum("kd,d->k", V, alpha)) > 1.0 - _MERGE_TOL)
+    m, n = np.divmod(np.arange(d * d)[:, None], d)
+    reps = np.unique(((m + stab // d) % d * d + (n + stab % d) % d).min(axis=1))
+    return Povm(np.full(len(reps), len(stab) / d), V[reps])
+
+
+def three_operand_identity_residual(p, d):
+    V = p.vectors
+    return float(np.max(np.abs(np.einsum("k,kd,ke->de", p.weights, V, np.conj(V)) - np.eye(d))))
+
+
+def three_operand_orthogonality_residual(p, s):
+    B = np.conj(p.vectors)
+    return float(np.max(np.abs(np.einsum("pde,ke,kd->pk", pair_operators(s), B, np.conj(B)))))
+
+
+def gathered_rows_simulate(s, povm, trials, seed):
+    conf, leftover = _answer_table(s, povm)
+    rng = np.random.default_rng(seed)
+    i_draw = rng.integers(0, len(s), size=trials)
+    k_cum = np.cumsum(povm.weights / s.d)
+    k_cum[-1] = 1.0
+    k_draw = np.searchsorted(k_cum, rng.random(trials), side="right")
+    u = rng.random(trials)
+    rows = np.cumsum(conf[k_draw, i_draw], axis=1)
+    r_draw = (u[:, None] < rows).argmax(axis=1)
+    answers = np.where(r_draw < len(s), r_draw, leftover[k_draw])
+    return float(np.mean(answers == i_draw))
+
+
+def test_orbit_povm_matches_dense_matvec_orbit():
+    rng = np.random.default_rng(43)
+    for d in (2, 3, 5, 8, 12, 20):
+        for alpha in (random_unit(rng, d), np.eye(d, dtype=complex)[0], np.ones(d, dtype=complex) / np.sqrt(d)):
+            got, want = orbit_povm(d, alpha), reference_orbit_povm(d, alpha)
+            assert len(got) == len(want), d
+            assert np.array_equal(got.weights, want.weights), d
+            assert np.max(np.abs(got.vectors - want.vectors)) <= 1e-15, d
+
+
+@pytest.mark.parametrize("block_bytes", [search._BLOCK_BYTES, 1])  # 1: one pair per block
+def test_povm_residuals_match_three_operand_einsum(monkeypatch, block_bytes):
+    # the contraction order changed, so equality is up to a few roundings of d-term sums
+    monkeypatch.setattr(search, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(47)
+    untagged = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    w, harvest = witness_search(untagged), all_restarts(untagged)
+    cases = [(untagged, povm_completion(untagged, w, harvest))]
+    for d in (3, 8, 20):
+        s = bell_set(d, [(0, 0), (1, 1), (0, 1)])
+        cases += [(s, orbit_povm(d, random_unit(rng, d))), (s, orbit_povm(d, witness_search(s).alpha))]
+    cases.append((theorem1_set(9), orbit_povm(9, random_unit(rng, 9))))  # 28 pairs
+    for s, povm in cases:
+        assert abs(povm_identity_residual(povm, s.d) - three_operand_identity_residual(povm, s.d)) <= 1e-14
+        got, want = povm_orthogonality_residual(povm, s), three_operand_orthogonality_residual(povm, s)
+        assert abs(got - want) <= 1e-14 * max(1.0, want), s.d
+
+
+def test_simulation_matches_gathered_rows_reference():
+    untagged = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    w, harvest = witness_search(untagged), all_restarts(untagged)
+    coin_flip = bell_set(2, [(0, 0), (0, 1)])
+    cases = [
+        (untagged, povm_completion(untagged, w, harvest)),
+        (coin_flip, orbit_povm(2, np.array([1, 1], dtype=complex) / np.sqrt(2))),
+    ]
+    for d in (3, 8, 20):
+        s = bell_set(d, [(0, 0), (1, 1)])
+        cases.append((s, povm_completion(s, witness_search(s))))
+    for s, povm in cases:
+        assert povm is not None, s.d
+        for seed in (0, 1, 7, 12345):
+            assert simulate_protocol(s, povm, 10_000, seed) == gathered_rows_simulate(s, povm, 10_000, seed), (s.d, seed)
 
 
 def test_orbit_povm_rejects_non_unit_vector():

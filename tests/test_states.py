@@ -157,6 +157,31 @@ def test_transpose_set_involution():
         assert np.array_equal(U, V)
 
 
+def test_transpose_set_takes_the_validated_stack_as_is(monkeypatch):
+    sets = [bell_set(5, [(0, 0), (1, 2), (3, 4)]), theorem2_set(Theorem2Spec(7)), theorem1_set(9)]
+
+    def no_checks(self):
+        raise AssertionError("transpose_set re-ran validation")
+
+    monkeypatch.setattr(UnitarySet, "__post_init__", no_checks)
+    for s in sets:
+        t = transpose_set(s)
+        assert len(t) == len(s) and t.d == s.d
+        for U, V in zip(s.members, t.members):
+            assert np.array_equal(V, U.T) and V.flags.c_contiguous and not V.flags.writeable
+        if s.tag is None:
+            assert t.tag is None
+        else:
+            assert t.tag == tuple(PauliIndex(m, -n % s.d) for m, n in s.tag)
+        tt = transpose_set(t)
+        assert tt.tag == s.tag
+        assert all(np.array_equal(U, V) for U, V in zip(s.members, tt.members))
+    monkeypatch.undo()
+    for s in sets:  # the transposes pass the checks they skipped
+        t = transpose_set(s)
+        assert UnitarySet(t.d, t.members, tag=t.tag).tag == t.tag
+
+
 def test_check_maximally_entangled_cases():
     psi0 = np.zeros(9, dtype=complex)
     psi0[[0, 4, 8]] = 1 / np.sqrt(3)
