@@ -20,18 +20,19 @@ Two sound (not complete) provers:
   rank-one elements can sum to the identity.  Larger blocks add nothing: a
   forced k-row block forces each of its 2-row sub-blocks, whose traceless
   directions lie in its span.  Membership residuals are distances from the
-  row space of the constraint matrix, read off one thin SVD by projection,
-  after a screen that rejects a block when a functional h, which touches
-  four coordinates, loses ||h||^2 - ||Qh||^2 > 1e-6.
+  row space of the constraint matrix, read off one thin SVD of its nonzero
+  columns by projection, after a screen that rejects a block when a
+  functional h, which touches four coordinates, loses ||h||^2 - ||Qh||^2 > 1e-6.
 
-pair_operators stacks every W_p = U_i^dag U_j (i < j); the constraint rows
-are hermitian_coords of the Hermitian and anti-Hermitian parts of W_p^dag.
+pair_operators stacks every W_p = U_i^dag U_j (i < j), in row blocks small
+enough for BLAS to stay on the calling thread; the constraint rows are
+hermitian_coords of the Hermitian and anti-Hermitian parts of W_p^dag.
 
 verify_certificate re-derives everything from the set by least squares (one
-solve per block), so certificates are independently checkable artifacts; it
-refuses a stated tolerance above BLOCK_TOL.  A block certificate names its
-set by unitaries_hash, a SHA-256 of the member bytes, which the verifier
-recomputes.
+solve per block, on the nonzero constraint columns and the block's four),
+so certificates are independently checkable artifacts; it refuses a stated
+tolerance above BLOCK_TOL.  A block certificate names its set by
+unitaries_hash, a SHA-256 of the member bytes, which the verifier recomputes.
 """
 from __future__ import annotations
 
@@ -51,6 +52,9 @@ RANK_RTOL = 1e-8
 BLOCK_TOL = 1e-8
 _SCREEN_TOL = 1e-6
 _SQRT2 = np.sqrt(2.0)
+# rows * d^2 of one pair_operators product: OpenBLAS 0.3.31 keeps a complex gemm with
+# m*n*k < 2^16 on the calling thread and wakes a helper that spins on for ~0.13 s from 2^16
+_PAIR_BLOCK_ELEMENTS = (1 << 16) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +158,16 @@ def fourier_cover_prover(c: CorrelationConstraintSystem):
 
 
 def pair_operators(s: UnitarySet) -> np.ndarray:
-    """Stacked W_p = U_i^dag U_j over pairs i < j in np.triu_indices order."""
+    """Stacked W_p = U_i^dag U_j over pairs i < j in np.triu_indices order, in blocks of < 2^16 / d^2 rows."""
     if len(s) < 2:
         raise ValueError("distinguishability needs at least two states")
     U = np.array(s.members)
     i, j = np.triu_indices(len(s), k=1)
-    return np.conj(np.swapaxes(U, 1, 2))[i] @ U[j]
+    left, right = np.conj(np.swapaxes(U, 1, 2))[i], U[j]
+    W, step = np.empty_like(right), max(1, _PAIR_BLOCK_ELEMENTS // s.d**2)
+    for r in range(0, s.d, step):
+        np.matmul(left[:, r : r + step], right, out=W[:, r : r + step])
+    return W
 
 
 def hermitian_coords(M: np.ndarray) -> np.ndarray:
@@ -209,13 +217,19 @@ class FeasibleSubspace:
 def hermitian_feasible_subspace(s: UnitarySet) -> FeasibleSubspace:
     """Row space of the pairwise trace constraints, from one thin SVD.
 
-    Rank uses a singular-value cutoff RANK_RTOL relative to the largest
-    singular value; dim(S) = d^2 - rank by construction.  Needs two or more
-    unitaries (pair_operators raises otherwise).
+    The SVD runs on the nonzero columns only: zero columns change neither
+    the singular values nor the row space.  Rank uses a singular-value
+    cutoff RANK_RTOL relative to the largest singular value; dim(S) = d^2 -
+    rank by construction.  Needs two or more unitaries (pair_operators
+    raises otherwise).
     """
-    _, sv, vt = np.linalg.svd(constraint_matrix(s), full_matrices=False)
+    A = constraint_matrix(s)
+    support = np.flatnonzero(np.any(A, axis=0))
+    _, sv, vt = np.linalg.svd(A[:, support], full_matrices=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0]))
-    return FeasibleSubspace(s.d, s, vt[:rank], rank)
+    row_basis = np.zeros((rank, s.d * s.d))
+    row_basis[:, support] = vt[:rank]
+    return FeasibleSubspace(s.d, s, row_basis, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +295,13 @@ def unitaries_hash(s: UnitarySet) -> str:
 
 
 def _membership_residuals(A: np.ndarray, d: int, rows) -> list:
-    """Least-squares distance of each block functional from the span of A's rows."""
-    h = block_functionals(d, rows).T
-    x, *_ = np.linalg.lstsq(A.T, h, rcond=None)
-    return np.linalg.norm(A.T @ x - h, axis=0).tolist()
+    """Least-squares distance of each block functional from the span of A's rows,
+    solved on the columns where A or h is nonzero (elsewhere both A^T x and h vanish)."""
+    h = block_functionals(d, rows)
+    cols = np.any(A, axis=0) | np.any(h, axis=0)
+    At, ht = A[:, cols].T, h[:, cols].T
+    x, *_ = np.linalg.lstsq(At, ht, rcond=None)
+    return np.linalg.norm(At @ x - ht, axis=0).tolist()
 
 
 def _projection_residuals(S: FeasibleSubspace, rows) -> list:

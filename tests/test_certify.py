@@ -1,13 +1,18 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entdis.certify import (
     BLOCK_TOL,
+    RANK_RTOL,
     BlockCertificate,
     _SCREEN_TOL,
     _SQRT2,
@@ -31,7 +36,15 @@ from entdis.certify import (
 )
 from entdis.search import witness_search
 from entdis.serialize import canonical_json, matrix_to_json, sha256_hex
-from entdis.states import Theorem2Spec, UnitarySet, bell_set, theorem1_indices, theorem1_set, theorem2_set
+from entdis.states import (
+    Theorem2Spec,
+    UnitarySet,
+    bell_set,
+    theorem1_indices,
+    theorem1_set,
+    theorem2_set,
+    transpose_set,
+)
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -180,8 +193,18 @@ def test_constraint_matrix_matches_per_pair_reference():
         assert np.max(np.abs(A - ref)) <= 1e-15
 
 
+def dense_haar_set(d, seed):
+    # A U B keeps a Bell triple trace-orthogonal, and Haar A and B make every
+    # W_p = B^dag U_i^dag U_j B dense, so the constraint support is all d^2 columns
+    rng = np.random.default_rng(seed)
+    A, B = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] for _ in range(2))
+    return UnitarySet(d, tuple(A @ U @ B for U in bell_set(d, [(0, 0), (1, 0), (0, 1)]).members))
+
+
 def test_pair_operators_equal_per_pair_loop():
-    for s in pairwise_cases() + [theorem1_set(9)]:
+    # d >= 41 is formed in row blocks; the result is still bitwise the loop's
+    large = [theorem2_set(Theorem2Spec(41)), theorem2_set(Theorem2Spec(61)), theorem1_set(64)]
+    for s in pairwise_cases() + [theorem1_set(9)] + large + [dense_haar_set(41, 2), dense_haar_set(64, 3)]:
         W = pair_operators(s)
         assert W.flags.c_contiguous
         assert np.array_equal(W, reference_pair_operators(s))
@@ -233,6 +256,125 @@ def test_projection_residuals_match_lstsq(s):
         proj = _projection_residuals(fs, rows)
         ref = _membership_residuals(A, s.d, rows)
         assert np.max(np.abs(np.subtract(proj, ref))) < 1e-12
+
+
+# Test-local copies of the full-width SVD and least squares that the support
+# versions replace.
+
+
+def reference_full_width_subspace(s):
+    _, sv, vt = np.linalg.svd(constraint_matrix(s), full_matrices=False)
+    rank = int(np.sum(sv > RANK_RTOL * sv[0]))
+    return rank, vt[:rank]
+
+
+def reference_membership_residuals(A, d, rows):
+    h = block_functionals(d, rows).T
+    x, *_ = np.linalg.lstsq(A.T, h, rcond=None)
+    return np.linalg.norm(A.T @ x - h, axis=0).tolist()
+
+
+# (id, set factory, whether the constraint support is all d^2 columns)
+SUPPORT_CASES = (
+    [(f"theorem2_d{d}", lambda d=d: theorem2_set(Theorem2Spec(d)), False) for d in (*range(7, 26, 2), 61)]
+    + [(f"theorem1_d{d}", lambda d=d: theorem1_set(d), False) for d in range(4, 10)]
+    + [(f"bell_pair_d{d}", lambda d=d: bell_set(d, [(0, 0), (1, 1)]), False) for d in (8, 16, 32)]
+    + [(f"dense_haar_d{d}", lambda d=d: dense_haar_set(d, d), True) for d in (5, 8)]
+)
+
+
+@pytest.mark.parametrize("make, full", [c[1:] for c in SUPPORT_CASES], ids=[c[0] for c in SUPPORT_CASES])
+def test_support_svd_matches_full_width_svd(make, full):
+    s = make()
+    fs = hermitian_feasible_subspace(s)
+    rank, vt = reference_full_width_subspace(s)
+    support = np.any(constraint_matrix(s), axis=0)
+    assert fs.constraint_rank == rank
+    assert fs.row_basis.shape == (rank, s.d * s.d)
+    assert np.max(np.abs(fs.row_basis.T @ fs.row_basis - vt.T @ vt)) <= 1e-12
+    assert np.all(fs.row_basis[:, ~support] == 0.0)
+    assert support.all() == full
+
+
+def test_membership_residuals_match_full_width_lstsq():
+    every = [theorem2_set(Theorem2Spec(7)), bell_set(5, [(0, 0), (1, 2)]), dense_haar_set(5, 5)]
+    cases = [(s, rows) for s in every for rows in combinations(range(s.d), 2)]
+    t61 = theorem2_set(Theorem2Spec(61))
+    cases += [(t61, rows) for rows in ((0, 1), (0, 2), (1, 60), (5, 9))]
+    cases += [(transpose_set(t61), (0, 1))]
+    certified = 0
+    for s, rows in cases:
+        A = constraint_matrix(s)
+        got = _membership_residuals(A, s.d, rows)
+        ref = reference_membership_residuals(A, s.d, rows)
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-14, (s.d, rows)
+        certified += max(got) < BLOCK_TOL
+    assert 0 < certified < len(cases)
+
+
+def test_certificate_issued_before_the_support_solve_still_verifies():
+    # the A_to_B certificate of theorem2 d=7 as the full-width SVD issued it
+    doc = {
+        "kind": "forced_block",
+        "tool_version": "0.1.0",
+        "d": 7,
+        "unitaries_sha256": "757d5bce925d557e0c7d61bc443883688e91547f3c4dc282b4607290f2bc01c5",
+        "block_rows": [0, 1],
+        "forced_functional_residuals": [4.757231558895532e-16, 4.804556838276431e-16, 8.730412408698213e-16],
+        "tolerance": 1e-08,
+        "rank_one_reduction": True,
+    }
+    assert verify_certificate_detailed(doc, theorem2_set(Theorem2Spec(7))) == (True, "ok")
+
+
+HELPER_CPU = """
+import os, sys, threading, time
+from entdis import Theorem2Spec, bell_set, decide, theorem2_set, transpose_set, verify_certificate
+from entdis.certify import pair_operators
+
+def other_threads_ns():
+    me = threading.get_native_id()
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != me:
+            with open(f"/proc/self/task/{tid}/schedstat") as f:
+                total += int(f.read().split()[0])
+    return total
+
+s, s64 = theorem2_set(Theorem2Spec(61)), bell_set(64, [(0, 0), (1, 1)])
+time.sleep(0.5)  # validation's own gemm wakes the BLAS helper, which spins for about 0.13 s
+if len(os.listdir("/proc/self/task")) < 2:
+    print("skip: one thread")
+    sys.exit(0)
+try:
+    before = other_threads_ns()
+except OSError:
+    print("skip: no schedstat")
+    sys.exit(0)
+dec = decide(s)
+assert dec.one_way_indistinguishable is True
+assert verify_certificate(dec.a_to_b.certificate, s)
+assert verify_certificate(dec.b_to_a.certificate, transpose_set(s))
+pair_operators(s64)  # 15-row blocks: a 16-row block would be a gemm of 2^16 that wakes the helper
+time.sleep(0.3)  # a helper woken above would spin on; bill that too
+print(other_threads_ns() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task/*/schedstat")
+def test_theorem2_d61_decision_bills_no_helper_thread(tmp_path):
+    # every dense call of a certified decision stays small enough for BLAS to
+    # run it on the calling thread, so no other thread of the process runs;
+    # pair_operators at d=64 checks the strict bound on the row blocks
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", HELPER_CPU], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.strip()
+    if out.startswith("skip:"):
+        pytest.skip(out)
+    assert int(out) < 1_000_000, f"other threads ran {int(out) / 1e6:.1f} ms"
 
 
 def random_untagged_pair(d, rng):

@@ -572,13 +572,18 @@ def test_orbit_povm_keeps_one_element_per_stabilizer_coset():
     triple = witness_search(bell_set(3, [(0, 0), (1, 0), (0, 1)])).alpha
     cases = [(5, np.eye(5, dtype=complex)[0], 5), (6, flat, 6), (4, phased, 16), (4, diagonal, 4), (3, triple, 3)]
     for d, alpha, size in cases:
-        vectors = [np.conj(to_matrix(d, p) @ alpha) for p in all_indices(d)]
+        vectors = np.array([np.conj(to_matrix(d, p) @ alpha) for p in all_indices(d)])
         want_reps, want_acc = reference_merge(vectors, [1.0 / d] * d * d)
         povm = orbit_povm(d, alpha)
         assert len(povm) == len(want_reps) == size, d
-        assert np.array_equal(povm.vectors, np.array(vectors)[want_reps]), d
+        # the BLAS matvec may fuse multiply-adds that the gathered orbit rounds
+        # separately, so each element matches its label's vector within 1e-15;
+        # the lowest label it matches is exactly the reference representative
+        close = np.max(np.abs(vectors[None] - povm.vectors[:, None]), axis=2) <= 1e-15
+        assert close.any(axis=1).all(), d
+        assert close.argmax(axis=1).tolist() == want_reps, d
+        assert np.array_equal(povm.weights, np.full(size, d / size)), d
         assert np.max(np.abs(povm.weights - want_acc)) <= 1e-15, d
-        assert np.allclose(povm.weights, d / size), d
 
 
 # Reference copies of the dense protocol tail that label arithmetic, two-operand
