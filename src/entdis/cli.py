@@ -21,6 +21,7 @@ import sys
 
 from .certify import certificate_from_dict, certificate_to_dict, verify_certificate_detailed
 from .search import (
+    MAX_TRIALS,
     SIMULATION_TRIALS,
     OptimizerConfig,
     certify_direction,
@@ -179,8 +180,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     uset, digest = _load_set(args.set_file)
     cfg = _config(args)
     witness, _, povm, rate = run_protocol(uset, cfg, args.trials)
@@ -277,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="search, complete a POVM and simulate the protocol")
     p.add_argument("set_file")
     _add_search_options(p)
-    p.add_argument("--trials", type=int, default=SIMULATION_TRIALS, help="protocol runs (default %(default)s)")
+    p.add_argument("--trials", type=int, default=SIMULATION_TRIALS,
+                   help="protocol runs, drawn as one binomial count (default %(default)s, at most 2^63 - 1)")
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_simulate)
 

@@ -23,11 +23,12 @@ Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
 constraint matrix); run_protocol runs search, POVM completion and the
 protocol simulation on whole arrays: the orbit from label arithmetic,
-two-operand POVM residuals, one cumulative answer table.  Their products are
-einsum calls, not @: a complex @ this size wakes a spinning BLAS helper
-thread.  decide_direction chains the two.  scipy is imported on first use:
-LAPACK dposv by the first damped solve, nnls by untagged completion, so a
-direction that a prover certifies runs on numpy alone.
+two-operand POVM residuals, one answer table whose exact success
+probability fixes a single binomial draw of the success count.  Their
+products are einsum calls, not @: a complex @ this size wakes a spinning
+BLAS helper thread.  decide_direction chains the two.  scipy is imported
+on first use: LAPACK dposv by the first damped solve, nnls by untagged
+completion, so a direction that a prover certifies runs on numpy alone.
 
 Conventions: the stored witness alpha lives on the receiving (Bob) side;
 the measuring party's POVM vectors are the conjugates phi = conj(alpha),
@@ -61,6 +62,7 @@ from .version import __version__
 IDENTITY_TOL = 1e-8
 ELEMENT_ORTHO_TOL = 1e-6
 SIMULATION_TRIALS = 10_000
+MAX_TRIALS = 2**63 - 1  # the binomial success count is an int64
 _MERGE_TOL = 1e-10
 _BLOCK_BYTES = 1 << 20
 _SEED_MASK = (1 << 64) - 1
@@ -384,21 +386,37 @@ def _answer_table(s: UnitarySet, povm: Povm):
     return np.concatenate([conf, 1.0 - conf.sum(axis=2, keepdims=True)], axis=2), leftover
 
 
+def _success_probability(s: UnitarySet, povm: Povm) -> float:
+    """Per-trial success probability p of the protocol, clipped to [0, 1]."""
+    conf, leftover = _answer_table(s, povm)
+    k_cum = np.cumsum(povm.weights / s.d)
+    k_cum[-1] = 1.0
+    states = np.arange(len(s))
+    hits = conf[:, states, states] + conf[:, :, -1] * (leftover[:, None] == states)  # (K, n)
+    p = float(np.einsum("k,ki->", np.diff(k_cum, prepend=0.0), hits)) / len(s)
+    return min(max(p, 0.0), 1.0)  # rounding can push a perfect protocol just past 1
+
+
 def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS, seed: int = 0) -> float:
     """Monte-Carlo success rate of the one-way protocol under the POVM.
 
     The state index is uniform; the measuring party's outcome k occurs with
-    probability m_k/d (her reduced state is I/d); the receiver projects his
-    conditional state U_i conj(phi_k) onto the per-outcome basis and answers
-    the label he lands on.  The POVM must resolve the identity; per-outcome
-    orthogonality is exactly what the simulation measures, so it is not a
-    precondition.  Completion directions carry only the leftover mass.
-    Each trial reads row k*n + i of one cumulative answer table.
+    probability P(k) = m_k/d (her reduced state is I/d); the receiver projects
+    his conditional state U_i conj(phi_k) onto the per-outcome basis and
+    answers the label he lands on.  The POVM must resolve the identity;
+    per-outcome orthogonality is exactly what the simulation measures, so it
+    is not a precondition.  Completion directions carry only the leftover mass.
+
+    One trial succeeds with probability
+    p = sum_k P(k) (1/n) sum_i (conf[k,i,i] + conf[k,i,n] [leftover[k] = i])
+    from the answer table, and trials are independent, so the success count
+    is Binomial(trials, p): one binomial draw has the law of drawing every
+    trial's state, outcome and answer.  Cost and memory do not grow with
+    trials, and p = 1 reports exactly 1.0.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    weights = povm.weights
-    if weights.size == 0 or not np.all(weights > 0):
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    if povm.weights.size == 0 or not np.all(povm.weights > 0):
         raise ValueError("POVM weights must be positive")
     bad = np.flatnonzero(~(np.abs(np.linalg.norm(povm.vectors, axis=1) - 1.0) <= 1e-10))
     if bad.size:
@@ -406,18 +424,7 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
     res = povm_identity_residual(povm, s.d)
     if not res < IDENTITY_TOL:
         raise ValueError(f"POVM does not resolve the identity (residual {res:.3e})")
-
-    conf, leftover = _answer_table(s, povm)
-    rng = np.random.default_rng(seed)
-    i_draw = rng.integers(0, len(s), size=trials)
-    k_cum = np.cumsum(weights / s.d)
-    k_cum[-1] = 1.0
-    k_draw = np.searchsorted(k_cum, rng.random(trials), side="right")
-    u = rng.random(trials)
-    rows = np.cumsum(conf, axis=2).reshape(-1, len(s) + 1)[k_draw * len(s) + i_draw]
-    r_draw = (u[:, None] < rows).argmax(axis=1)
-    answers = np.where(r_draw < len(s), r_draw, leftover[k_draw])
-    return float(np.mean(answers == i_draw))
+    return int(np.random.default_rng(seed).binomial(trials, _success_probability(s, povm))) / trials
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,19 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, monkeypatch, capsys):
         assert not rf.exists()
 
 
+def test_simulate_rejects_trials_past_int64(tmp_path, monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("witness search ran before --trials was checked")
+
+    monkeypatch.setattr(entdis.search, "witness_search", no_search)
+    sf = tmp_path / "pair.json"
+    run(["gen", "bell", "--d", 3, "--indices", "0,0;1,0", "--output", sf])
+    rf = tmp_path / "sim.json"
+    assert run(["simulate", sf, "--trials", 2**63, "--output", rf]) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not rf.exists()
+
+
 def test_sweep_rows_and_formats(tmp_path):
     out = tmp_path / "table.csv"
     assert run(["sweep", 4, 12, "--output", out]) == 0

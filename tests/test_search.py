@@ -17,6 +17,7 @@ from entdis.search import (
     _restart_start,
     _run_restart,
     _spd_solve,
+    _success_probability,
     decide,
     decide_direction,
     decision_to_dict,
@@ -395,6 +396,9 @@ def test_simulate_perfect_discrimination():
     s = bell_set(2, [(0, 0), (0, 1)])
     p = Povm(np.array([1.0, 1.0]), np.eye(2, dtype=complex))
     assert simulate_protocol(s, p, 10_000, seed=0) == 1.0
+    # exact table entries make p exactly 1, so not even 2^63 - 1 trials draw a failure
+    assert _success_probability(s, p) == 1.0
+    assert simulate_protocol(s, p, 2**63 - 1, seed=0) == 1.0
 
 
 def test_simulate_wrong_povm_coin_flip():
@@ -402,6 +406,9 @@ def test_simulate_wrong_povm_coin_flip():
     wrong = orbit_povm(2, np.array([1, 1], dtype=complex) / np.sqrt(2))
     rate = simulate_protocol(s, wrong, 10_000, seed=0)
     assert abs(rate - 0.5) < 0.02
+    p = _success_probability(s, wrong)
+    assert abs(p - 0.5) < 1e-15
+    assert rate == np.random.default_rng(0).binomial(10_000, p) / 10_000
 
 
 def test_simulate_certified_set_never_perfect():
@@ -419,6 +426,8 @@ def test_simulate_validates_input():
     good = orbit_povm(2, np.array([1, 0], dtype=complex))
     with pytest.raises(ValueError):
         simulate_protocol(s, good, 0, seed=0)
+    with pytest.raises(ValueError):
+        simulate_protocol(s, good, 2**63, seed=0)
     nonunit = Povm(np.array([1.0, 1.0]), np.array([[2, 0], [0, 1]], dtype=complex))
     with pytest.raises(ValueError):
         simulate_protocol(s, nonunit, 100, seed=0)
@@ -474,17 +483,22 @@ def reference_table(s, povm):
     return conf, labels
 
 
-def reference_simulate(s, povm, trials, seed):
+def reference_law(s, povm):
+    """Per-trial success probability read off the per-outcome reference tables."""
     conf, labels = reference_table(s, povm)
-    rng = np.random.default_rng(seed)
-    i_draw = rng.integers(0, len(s), size=trials)
     k_cum = np.cumsum(povm.weights / s.d)
     k_cum[-1] = 1.0
-    k_draw = np.searchsorted(k_cum, rng.random(trials), side="right")
-    u = rng.random(trials)
-    rows = np.cumsum(conf[k_draw, i_draw], axis=1)
-    answers = labels[k_draw, (u[:, None] < rows).argmax(axis=1)]
-    return float(np.mean(answers == i_draw))
+    states = np.arange(len(s))
+    hits = np.sum(conf * (labels[:, None, :] == states[None, :, None]), axis=2)  # (K, n)
+    return float(np.diff(k_cum, prepend=0.0) @ hits.mean(axis=1))
+
+
+def assert_rates_follow_law(s, povm, p, name):
+    # the mean of 200 independent rates over 10,000 trials has standard error sqrt(p (1 - p) / (10,000 * 200))
+    se = np.sqrt(p * (1.0 - p) / (10_000 * 200))
+    for simulate in (simulate_protocol, gathered_rows_simulate):
+        mean = np.mean([simulate(s, povm, 10_000, seed) for seed in range(200)])
+        assert abs(mean - p) <= 4 * se, (name, simulate.__name__, mean, p, se)
 
 
 def reference_orthogonality_residual(povm, s):
@@ -530,14 +544,22 @@ def simulation_cases():
         ("bell3_d5_random", bell_set(5, [(0, 0), (1, 2), (3, 1)]), orbit_povm(5, random_unit(rng, 5))),
         ("theorem2_d9_random", theorem2_set(Theorem2Spec(9)), orbit_povm(9, random_unit(rng, 9))),
         ("untagged_ix_nnls", untagged, povm_completion(untagged, w, harvest)),
+        # unequal weights: the standard basis (answers right) with weight 0.7, the X basis (a coin flip) with 0.3
+        ("mixed_bases_d2", bell_set(2, [(0, 0), (0, 1)]), mixed_bases_povm(0.3)),
     ]
 
 
-def test_batched_simulation_matches_per_outcome_reference():
+def mixed_bases_povm(t):
+    plus, minus = np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)
+    return Povm(np.array([1 - t, 1 - t, t, t]), np.array([[1, 0], [0, 1], plus, minus], dtype=complex))
+
+
+def test_simulation_law_matches_per_outcome_reference():
     for name, s, povm in simulation_cases():
         assert povm is not None, name
-        for seed in range(5):
-            assert simulate_protocol(s, povm, 10_000, seed) == reference_simulate(s, povm, 10_000, seed), (name, seed)
+        p = _success_probability(s, povm)
+        assert abs(p - reference_law(s, povm)) < 1e-12, name
+        assert_rates_follow_law(s, povm, p, name)
         conf, leftover = _answer_table(s, povm)
         labels = np.column_stack([np.tile(np.arange(len(s)), (len(povm), 1)), leftover])
         got = answers_by_label(conf, labels, len(s))
@@ -587,7 +609,7 @@ def test_orbit_povm_keeps_one_element_per_stabilizer_coset():
 
 
 # Reference copies of the dense protocol tail that label arithmetic, two-operand
-# contractions and the cumulative answer table replace.
+# contractions and the one binomial success count replace.
 
 
 def reference_orbit_povm(d, alpha):
@@ -650,7 +672,7 @@ def test_povm_residuals_match_three_operand_einsum(monkeypatch, block_bytes):
         assert abs(got - want) <= 1e-14 * max(1.0, want), s.d
 
 
-def test_simulation_matches_gathered_rows_reference():
+def test_simulation_law_matches_gathered_rows_reference():
     untagged = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
     w, harvest = witness_search(untagged), all_restarts(untagged)
     coin_flip = bell_set(2, [(0, 0), (0, 1)])
@@ -663,8 +685,9 @@ def test_simulation_matches_gathered_rows_reference():
         cases.append((s, povm_completion(s, witness_search(s))))
     for s, povm in cases:
         assert povm is not None, s.d
-        for seed in (0, 1, 7, 12345):
-            assert simulate_protocol(s, povm, 10_000, seed) == gathered_rows_simulate(s, povm, 10_000, seed), (s.d, seed)
+        p = _success_probability(s, povm)
+        assert abs(p - reference_law(s, povm)) < 1e-12, s.d
+        assert_rates_follow_law(s, povm, p, s.d)
 
 
 def test_orbit_povm_rejects_non_unit_vector():
