@@ -123,3 +123,14 @@ def all_indices(d) -> list[PauliIndex]:
     d = check_dimension(d)
     return [PauliIndex(m, n) for m in range(d) for n in range(d)]
 
+
+def lagrangians(d) -> list[tuple[int, int, int]]:
+    """Every Lagrangian (order-d subgroup of Z_d^2 on which mn' - nm' vanishes) once.
+
+    Each is (a, b, c), its Hermite normal form rows (a, b) and (0, c) with
+    ac = d and 0 <= b < c, so there are sigma(d) of them, ordered by a, then
+    b.  A label (m, n) lies in it exactly when a | m and n = (m/a) b mod c.
+    """
+    d = check_dimension(d)
+    return [(a, b, d // a) for a in range(1, d + 1) if d % a == 0 for b in range(d // a)]
+

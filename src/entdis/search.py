@@ -15,18 +15,20 @@ block of d consecutive restarts starts from one random orthonormal basis,
 so the starts pooled for NNLS completion resolve the identity; the witnesses
 found near them then do so far more often than those of independent
 starts.  Restarts run one after another, and each is a pure function of
-(seed, restart index), so results are reproducible.  Every set follows one
-stopping rule: the search ends at its first witness, and run_protocol adds
-restarts, doubling the whole blocks, only while POVM completion fails.
+(seed, restart index), so results are reproducible.  The search ends at its
+first witness; for an untagged set, run_protocol adds restarts, doubling the
+whole blocks, only while POVM completion fails.  Tagged completion never
+reads the harvest, so a tagged set gets no more restarts.
 
 Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
 constraint matrix); run_protocol runs search, POVM completion and the
-protocol simulation on whole arrays: the orbit from label arithmetic,
-two-operand POVM residuals, one answer table whose exact success
-probability fixes a single binomial draw of the success count.  Their
-products are einsum calls, not @: a complex @ this size wakes a spinning
-BLAS helper thread.  decide_direction chains the two.  scipy is imported
+protocol simulation on whole arrays: the d-element stabilizer basis of a
+Lagrangian that avoids a tagged set's label differences, or else the Pauli
+orbit of its witness from label arithmetic; two-operand POVM residuals; one
+answer table whose exact success probability fixes a single binomial draw
+of the success count.  Their products are einsum calls, not @: a complex @
+this size wakes a spinning BLAS helper thread.  decide_direction chains the two.  scipy is imported
 on first use: LAPACK dposv by the first damped solve, nnls by untagged
 completion, so a direction that a prover certifies runs on numpy alone.
 
@@ -54,7 +56,8 @@ from .certify import (
     verify_certificate,
 )
 # all_indices and to_matrix go unused but stay importable: decidebench's tracer wraps them by name
-from .gpauli import all_indices, phase_table, to_matrix  # noqa: F401
+from . import gpauli
+from .gpauli import all_indices, lagrangians, phase_table, to_matrix  # noqa: F401
 from .serialize import complex_to_pair
 from .states import UnitarySet, transpose_set
 from .version import __version__
@@ -305,6 +308,29 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
     return Povm(np.full(len(reps), len(stab) / d), V[reps])
 
 
+def label_povm(d: int, tag) -> Povm | None:
+    """Stabilizer basis of the first Lagrangian L that avoids the label differences, or None.
+
+    D = {t_j - t_i : i != j}.  If L and D share no element, the d common
+    eigenvectors phi_k of {U_t : t in L} all witness the set: for s not in L
+    some t in L has <s, t> != 0 (L is its own symplectic complement), and
+    conjugating by U_t multiplies <phi_k|U_s|phi_k> by a nontrivial root of
+    unity, so the value is 0.  They come from eigh of a Hermitian
+    combination of L's generators with non-real coefficients (with real ones,
+    a cyclic L gives degenerate pairs of 2cos eigenvalues); the elements are
+    their Alice-side conjugates, with weight 1 each.
+    """
+    t = np.array(tag)
+    m, n = ((t[None] - t[:, None]) % d)[~np.eye(len(t), dtype=bool)].T
+    for a, b, c in lagrangians(d):
+        if not np.any((m % a == 0) & ((n - m // a * b) % c == 0)):
+            # gpauli.to_matrix: the tracer counts calls of the name imported above
+            g1, g2 = gpauli.to_matrix(d, (a % d, b)), gpauli.to_matrix(d, (0, c % d))
+            h = np.exp(0.21j) * g1 + np.sqrt(2) * np.exp(0.37j) * g2
+            return Povm(np.ones(d), np.conj(np.linalg.eigh(h + np.conj(h.T))[1].T))
+    return None
+
+
 def povm_identity_residual(p: Povm, d: int) -> float:
     """Max-entry deviation of sum_k m_k |phi_k><phi_k| from the identity."""
     V = p.vectors
@@ -324,19 +350,22 @@ def povm_orthogonality_residual(p: Povm, s: UnitarySet) -> float:
 def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: float = 1e-12):
     """Complete a witness into a full POVM, or None if that fails.
 
-    Pauli-tagged sets use the orbit construction (every orbit point is again
-    a witness because conjugation preserves index differences up to phase).
-    Otherwise all supplied witnesses below success_tol are pooled, the first
-    of each phase class (|<a|b>| > 1 - _MERGE_TOL in one overlap einsum;
-    rounding keeps twin columns apart, so NNLS could pick either), and
-    nonnegative least squares looks for weights resolving the identity.
+    Pauli-tagged sets use label_povm, the d-element stabilizer basis of a
+    Lagrangian that avoids the label differences, which needs no witness;
+    when no Lagrangian does, the Pauli orbit of the witness (every orbit
+    point is again a witness because conjugation preserves index differences
+    up to phase).  Otherwise all supplied witnesses below success_tol are
+    pooled, the first of each phase class (|<a|b>| > 1 - _MERGE_TOL in one
+    overlap einsum; rounding keeps twin columns apart, so NNLS could pick
+    either), and nonnegative least squares looks for weights resolving the
+    identity.
     """
     if w.residual >= success_tol:
         raise ValueError(
             f"witness residual {w.residual:.3e} is not below success tolerance {success_tol:.1e}"
         )
     if s.tag is not None:
-        povm = orbit_povm(s.d, w.alpha)
+        povm = label_povm(s.d, s.tag) or orbit_povm(s.d, w.alpha)
     else:
         pool = np.array([w.alpha] + [alpha for res, alpha in extra_witnesses if res < success_tol])
         twins = np.abs(np.einsum("id,jd->ij", np.conj(pool), pool)) > 1.0 - _MERGE_TOL
@@ -488,17 +517,18 @@ def certify_direction(s: UnitarySet):
 def run_protocol(s: UnitarySet, cfg: OptimizerConfig, trials: int = SIMULATION_TRIALS):
     """Witness search, POVM completion and, if completion succeeds, simulation.
 
-    One rule for every set: witness_search stops at its first witness; while
+    witness_search stops at its first witness.  For an untagged set, while
     completion fails, the harvest grows to d, 2d, 4d, ... restarts (capped
-    at cfg.restarts) and completion is retried.  Orbit completion (tagged
-    sets) needs only the witness, NNLS completion pools the harvest.
+    at cfg.restarts) and completion is retried, because NNLS completion pools
+    the harvest.  Tagged completion (label basis or orbit) never reads the
+    harvest, so a tagged set whose completion fails ends after the search.
     Returns (witness, restarts used, POVM or None, success rate or None).
     """
     witness, harvest = witness_search(s, cfg, collect=True)
     povm = stacks = None
     while witness.residual < cfg.success_tol:
         povm = povm_completion(s, witness, harvest, success_tol=cfg.success_tol)
-        if povm is not None or len(harvest) >= cfg.restarts:
+        if povm is not None or s.tag is not None or len(harvest) >= cfg.restarts:
             break
         stacks = stacks or _pair_stacks(s)
         size = min(s.d << (len(harvest) // s.d).bit_length(), cfg.restarts)  # next d * 2^j

@@ -287,7 +287,7 @@ def test_simulate_command(tmp_path):
     assert run(["simulate", sf, "--trials", 5000, "--output", rf]) == 0
     doc = json.loads(rf.read_text())
     assert doc["success_rate"] == 1.0
-    assert doc["povm_size"] == 9
+    assert doc["povm_size"] == 3  # the stabilizer basis of a Lagrangian that avoids the difference (1, 0)
 
 
 def test_simulate_rejects_nonpositive_trials(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from entdis.gpauli import (
     all_indices,
     apply,
     check_index,
+    lagrangians,
     omega,
     to_matrix,
     transpose_index,
@@ -186,3 +187,18 @@ def test_check_index_accepts_only_integers():
     for p in ((0.9, 0), (1.5, 0), (1, 2.0), (True, 0), (0, False), ("1", 0), (None, 0)):
         with pytest.raises(ValueError, match="pair of integers"):
             check_index(4, p)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_lagrangians_are_every_isotropic_subgroup_of_order_d_once(d):
+    sigma = sum(a for a in range(1, d + 1) if d % a == 0)
+    subgroups = set()
+    for a, b, c in lagrangians(d):
+        L = frozenset(((x * a) % d, (x * b + y * c) % d) for x in range(d) for y in range(d))
+        assert len(L) == d, (a, b, c)
+        assert all(((p[0] + q[0]) % d, (p[1] + q[1]) % d) in L for p in L for q in L)
+        assert all((p[0] * q[1] - p[1] * q[0]) % d == 0 for p in L for q in L)
+        # the membership rule of the docstring
+        assert L == {(m, n) for m, n in all_indices(d) if m % a == 0 and (n - m // a * b) % c == 0}
+        subgroups.add(L)
+    assert len(subgroups) == len(lagrangians(d)) == sigma

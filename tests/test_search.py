@@ -9,6 +9,8 @@ from entdis import search
 from entdis.gpauli import all_indices, to_matrix
 from entdis.search import (
     _MERGE_TOL,
+    ELEMENT_ORTHO_TOL,
+    IDENTITY_TOL,
     OptimizerConfig,
     Povm,
     _answer_table,
@@ -21,6 +23,7 @@ from entdis.search import (
     decide,
     decide_direction,
     decision_to_dict,
+    label_povm,
     orbit_povm,
     pair_operators,
     penalty,
@@ -33,7 +36,7 @@ from entdis.search import (
     Witness,
 )
 from entdis.serialize import canonical_json
-from entdis.states import Theorem2Spec, UnitarySet, bell_set, theorem1_set, theorem2_set
+from entdis.states import Theorem2Spec, UnitarySet, bell_set, theorem1_set, theorem2_set, transpose_set
 
 
 def all_restarts(s, cfg=OptimizerConfig()):
@@ -363,7 +366,7 @@ def test_orbit_povm_collapses_to_projective_measurement():
 def test_orbit_povm_generic_pair_keeps_nine_elements():
     s = bell_set(3, [(0, 0), (1, 0)])
     w = witness_search(s)
-    p = povm_completion(s, w)
+    p = orbit_povm(3, w.alpha)
     assert len(p) == 9
     assert np.allclose(p.weights, 1 / 3)
     assert povm_identity_residual(p, 3) < 1e-10
@@ -809,7 +812,7 @@ def test_orbit_povm_identity_for_random_pairs():
         s = ix_pair(d, rng)
         w = witness_search(s)
         assert w.residual < 1e-12
-        p = povm_completion(s, w)
+        p = orbit_povm(d, w.alpha)
         assert povm_identity_residual(p, d) < 1e-10
         assert povm_orthogonality_residual(p, s) < 1e-6
 
@@ -819,3 +822,66 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(success_tol=1e-3, failure_floor=1e-6)
+
+
+# sets whose label differences meet every Lagrangian, so only the Pauli orbit completes them
+ORBIT_ONLY = [
+    (4, [(0, 0), (0, 2), (2, 0)], 16),
+    (4, [(0, 0), (0, 2), (2, 0), (2, 2)], 16),
+    (6, [(0, 0), (0, 3), (3, 0)], 36),
+]
+
+
+@pytest.mark.parametrize("d, tag, size", ORBIT_ONLY)
+def test_orbit_only_sets_complete_through_the_orbit(d, tag, size):
+    s = bell_set(d, tag)
+    assert label_povm(d, s.tag) is None
+    assert label_povm(d, transpose_set(s).tag) is None
+    dec = decide(s)
+    for v in (dec.a_to_b, dec.b_to_a):
+        assert (v.kind, v.povm_size, v.simulated_success) == ("distinguishable", size, 1.0)
+
+
+def test_label_povm_is_a_gated_basis_for_a_set_exactly_when_for_its_transpose():
+    rng = np.random.default_rng(11)
+    found = 0
+    for _ in range(120):
+        d = int(rng.integers(2, 10))
+        k = rng.choice(d * d, size=int(rng.integers(2, min(d * d, 6) + 1)), replace=False)
+        s = bell_set(d, [(int(x) // d, int(x) % d) for x in k])
+        povms = [label_povm(d, s.tag), label_povm(d, transpose_set(s).tag)]
+        assert (povms[0] is None) == (povms[1] is None), s.tag
+        for u, p in zip((s, transpose_set(s)), povms):
+            if p is not None:
+                found += 1
+                assert len(p) == d and np.array_equal(p.weights, np.ones(d))
+                assert povm_identity_residual(p, d) < IDENTITY_TOL
+                assert povm_orthogonality_residual(p, u) < ELEMENT_ORTHO_TOL
+    assert found > 100
+
+
+def test_label_povm_decides_a_set_the_orbit_misses():
+    # a near-stabilizer witness sinks the orbit's identity residual on this set
+    dec = decide(bell_set(7, [(3, 4), (1, 5), (0, 0), (2, 4)]))
+    for v in (dec.a_to_b, dec.b_to_a):
+        assert (v.kind, v.povm_size, v.simulated_success, v.restarts_used) == ("distinguishable", 7, 1.0, 1)
+
+
+@pytest.mark.parametrize("d, tag", [(3, [(0, 0), (1, 0), (0, 1)]), (3, [(0, 0), (1, 0)])])
+def test_label_protocol_is_exactly_perfect_at_the_largest_trial_count(d, tag):
+    s = bell_set(d, tag)
+    p = label_povm(d, s.tag)
+    assert len(p) == d
+    assert _success_probability(s, p) == 1.0
+    assert simulate_protocol(s, p, 2**63 - 1, seed=0) == 1.0
+
+
+def test_harvest_grows_only_for_untagged_sets_when_completion_fails(monkeypatch):
+    monkeypatch.setattr(search, "povm_completion", lambda *args, **kwargs: None)
+    cfg = OptimizerConfig(restarts=8)
+    tagged = bell_set(2, [(0, 0), (0, 1)])
+    untagged = UnitarySet(2, tagged.members)
+    v = decide_direction(tagged, cfg)
+    assert (v.kind, v.restarts_used) == ("unknown", 1)
+    v = decide_direction(untagged, cfg)
+    assert (v.kind, v.restarts_used) == ("unknown", cfg.restarts)
