@@ -22,8 +22,9 @@ reads the harvest, so a tagged set gets no more restarts.
 
 Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
-constraint matrix); run_protocol runs search, POVM completion and the
-protocol simulation on whole arrays: the d-element stabilizer basis of a
+constraint matrix) on every set but a pair, where neither can fire;
+run_protocol runs search, POVM completion and the protocol simulation on
+whole arrays: the d-element stabilizer basis of a
 Lagrangian that avoids a tagged set's label differences, or else the Pauli
 orbit of its witness from label arithmetic; two-operand POVM residuals; one
 answer table whose exact success probability fixes a single binomial draw
@@ -87,6 +88,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        for name in ("max_iterations", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.success_tol < self.failure_floor:
             raise ValueError("success_tol must be smaller than failure_floor")
 
@@ -502,8 +506,14 @@ def certify_direction(s: UnitarySet):
     """Verified certificate for one direction, or None (inconclusive).
 
     Fourier-cover prover on Pauli-tagged sets, then the forced-block scan;
-    a certificate counts only once verify_certificate re-derives it.
+    a certificate counts only once verify_certificate re-derives it.  Pairs
+    skip both (two orthogonal maximally entangled states are one-way
+    distinguishable, Walgate et al., PRL 85, 4972): 2 constraint rows hold
+    no three orthonormal block functionals within BLOCK_TOL, and 2 labels
+    (+-t) cannot cover the 2d - 1 >= 3 that a Fourier cover needs.
     """
+    if len(s) == 2:
+        return None
     if s.tag is not None:
         cert = fourier_cover_prover(constraints_from_set(s.tag, s.d))
         if cert is not None and verify_certificate(cert, s):

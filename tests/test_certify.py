@@ -706,3 +706,28 @@ def test_cover_certified_sets_defeat_witness_search():
         s = theorem1_set(d)
         assert fourier_cover_prover(constraints_from_set(s.tag, d)) is not None
         assert witness_search(s).residual > 1e-6
+
+
+def seeded_pairs():
+    rng = np.random.default_rng(18)
+    for d in range(2, 13):
+        k1, k2 = rng.choice(d * d, size=2, replace=False)
+        yield bell_set(d, [divmod(int(k1), d), divmod(int(k2), d)])
+        yield random_untagged_pair(d, rng)
+
+
+def test_no_prover_can_fire_on_a_pair():
+    # the bounds behind certify_direction's pair exit: 2 constraint rows leave
+    # three orthonormal block functionals a summed squared residual of at least
+    # 3 - 2, and +-t are at most 2 of the 2d - 1 labels a Fourier cover needs
+    for s in seeded_pairs():
+        assert constraint_matrix(s).shape[0] == 2
+        S = hermitian_feasible_subspace(s)
+        assert S.constraint_rank <= 2
+        assert scan_blocks(S) is None
+        for rows in combinations(range(s.d), 2):
+            assert sum(r * r for r in _projection_residuals(S, rows)) >= 1 - 1e-12
+        if s.tag is not None:
+            cons = constraints_from_set(s.tag, s.d)
+            assert len(cons.constraints) <= 2 < 2 * s.d - 1
+            assert fourier_cover_prover(cons) is None

@@ -344,3 +344,33 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("flag, value, field", [("--seed", -1, "seed"), ("--max-iterations", -5, "max_iterations")])
+def test_negative_search_options_are_refused_before_any_work(tmp_path, monkeypatch, capsys, flag, value, field):
+    def no_search(*args, **kwargs):
+        raise AssertionError(f"witness search ran before {flag} was checked")
+
+    monkeypatch.setattr(entdis.search, "witness_search", no_search)
+    triple = tmp_path / "triple.json"
+    run(["gen", "bell", "--d", 3, "--indices", "0,0;1,0;0,1", "--output", triple])
+    certified = tmp_path / "t2.json"
+    run(["gen", "theorem2", "--d", 7, "--output", certified])
+    capsys.readouterr()
+    for command, sf in (("decide", triple), ("decide", certified), ("search", triple), ("simulate", triple)):
+        rf = tmp_path / "out.json"
+        assert run([command, sf, flag, value, "--output", rf]) == 2
+        assert f"{field} must be >= 0, got {value}" in capsys.readouterr().err
+        assert not rf.exists()
+
+
+def test_one_member_set_is_refused_by_certify_and_decide(tmp_path, capsys):
+    # only pairs skip the provers; a lone state still fails with exit code 2
+    sf = tmp_path / "one.json"
+    run(["gen", "bell", "--d", 3, "--indices", "0,0", "--output", sf])
+    capsys.readouterr()
+    for command in ("certify", "decide"):
+        rf = tmp_path / "out.json"
+        assert run([command, sf, "--output", rf]) == 2
+        assert "at least two states" in capsys.readouterr().err
+        assert not rf.exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entdis import _kernels as K
-from entdis import search
+from entdis import certify, search
 from entdis.gpauli import all_indices, to_matrix
 from entdis.search import (
     _MERGE_TOL,
@@ -885,3 +885,58 @@ def test_harvest_grows_only_for_untagged_sets_when_completion_fails(monkeypatch)
     assert (v.kind, v.restarts_used) == ("unknown", 1)
     v = decide_direction(untagged, cfg)
     assert (v.kind, v.restarts_used) == ("unknown", cfg.restarts)
+
+
+def haar_rotated_pair(d, seed):
+    # A U B keeps a Bell pair trace-orthogonal and makes both members dense
+    rng = np.random.default_rng(seed)
+    A, B = random_unitary(rng, d), random_unitary(rng, d)
+    return UnitarySet(d, tuple(A @ U @ B for U in bell_set(d, [(0, 0), (1, 1)]).members))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: bell_set(20, [(0, 0), (1, 1)]),
+        lambda: bell_set(4, [(0, 0), (0, 2)]),  # order-2 label difference
+        lambda: UnitarySet(2, bell_set(2, [(0, 0), (0, 1)]).members),  # untagged I/X
+        lambda: haar_rotated_pair(5, 3),
+    ],
+    ids=["tagged_d20", "order2_d4", "untagged_ix", "haar_d5"],
+)
+def test_pairs_skip_both_provers(monkeypatch, make):
+    def no_prover(*args, **kwargs):
+        raise AssertionError("a prover ran on a pair")
+
+    for name in ("constraints_from_set", "fourier_cover_prover", "hermitian_feasible_subspace", "scan_blocks"):
+        monkeypatch.setattr(search, name, no_prover)
+    s = make()
+    assert len(s) == 2
+    for target in (s, transpose_set(s)):
+        assert search.certify_direction(target) is None
+    assert decide_direction(s).kind == "distinguishable"
+
+
+def test_three_member_sets_still_reach_both_provers(monkeypatch):
+    calls = {"cover": 0, "blocks": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(search, "fourier_cover_prover", counted("cover", search.fourier_cover_prover))
+    monkeypatch.setattr(certify, "block_identity_prover", counted("blocks", certify.block_identity_prover))
+    s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
+    for k, target in enumerate((s, transpose_set(s)), start=1):
+        assert search.certify_direction(target) is None
+        assert calls == {"cover": k, "blocks": 3 * k}  # every 2x2 block of d = 3 is tried and misses
+
+
+@pytest.mark.parametrize("field", ["seed", "max_iterations"])
+def test_optimizer_config_refuses_negative_seed_and_iterations(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+        OptimizerConfig(**{field: -1})
+    assert OptimizerConfig(**{field: 0}).to_dict()[field] == 0
