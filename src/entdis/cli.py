@@ -6,11 +6,12 @@ Exit codes: 0 = computed (any verdict, including unknown/inconclusive),
 canonical JSON (or CSV for sweep) so identical invocations produce
 byte-identical output; human-readable summaries go to stderr.
 decide, certify, simulate and sweep share the pipeline stages of
-entdis.search: certify_direction (forced-block residuals are distances
-from the row space of the constraint matrix, by projection) and
-run_protocol.  Option defaults are the library's (OptimizerConfig,
-SIMULATION_TRIALS, Theorem2Spec), and gen writes the document of
-entdis.states.set_to_dict, naming the theorem family where there is one.
+entdis.search (certify_direction and run_protocol).  Option defaults are
+the library's (OptimizerConfig, SIMULATION_TRIALS, Theorem2Spec); each
+search flag is stored under its OptimizerConfig field.  gen writes exactly
+what entdis.states.set_from_dict reads: the document its arguments describe,
+with the members as set_to_dict writes them.  It refuses an option that its
+set type does not read.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .certify import certificate_from_dict, certificate_to_dict, verify_certificate_detailed
 from .search import (
@@ -32,18 +34,8 @@ from .search import (
     witness_search,
 )
 from .serialize import canonical_json, complex_to_pair, sha256_hex
-from .states import (
-    Theorem2Spec,
-    bell_set,
-    set_from_dict,
-    set_to_dict,
-    theorem1_set,
-    theorem2_set,
-    transpose_set,
-)
+from .states import Theorem2Spec, set_from_dict, set_to_dict, theorem1_set, transpose_set
 from .version import __version__
-
-_PHASES = ("omega", "gamma", "sigma")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -66,73 +58,71 @@ def _load_set(path: str):
     return set_from_dict(doc), digest
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_pair(text: str) -> list:
+    """A complex number given as 're' or 're,im', as its set-file pair [re, im]."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    if len(parts) not in (1, 2):
+        raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    return [float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0]
 
 
 def _parse_indices(text: str) -> list:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        m, n = chunk.split(",")
-        out.append((int(m), int(n)))
-    if not out:
-        raise ValueError("no indices given")
-    return out
+    """'m,n;m,n;...' as set-file labels [[m, n], ...]; set_from_dict checks them."""
+    return [[int(x) for x in chunk.split(",")] for chunk in text.split(";") if chunk.strip()]
 
 
 def _add_search_options(p: argparse.ArgumentParser) -> None:
+    """One flag per OptimizerConfig field, stored under the field's name."""
     cfg = OptimizerConfig()
-    for flag, kind, default, text in (
-        ("--seed", int, cfg.seed, "RNG seed"),
-        ("--restarts", int, cfg.restarts, "search restarts"),
-        ("--max-iterations", int, cfg.max_iterations, "Levenberg-Marquardt iterations per restart"),
-        ("--tol-success", float, cfg.success_tol, "witness acceptance residual"),
-        ("--tol-floor", float, cfg.failure_floor, "failure floor residual"),
+    for flag, field, text in (
+        ("--seed", "seed", "RNG seed"),
+        ("--restarts", "restarts", "search restarts"),
+        ("--max-iterations", "max_iterations", "Levenberg-Marquardt iterations per restart"),
+        ("--tol-success", "success_tol", "witness acceptance residual"),
+        ("--tol-floor", "failure_floor", "failure floor residual"),
     ):
-        p.add_argument(flag, type=kind, default=default, help=f"{text} (default %(default)s)")
+        default, metavar = getattr(cfg, field), flag[2:].replace("-", "_").upper()
+        p.add_argument(flag, dest=field, metavar=metavar, type=type(default), default=default,
+                       help=f"{text} (default %(default)s)")
 
 
 def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        success_tol=args.tol_success,
-        failure_floor=args.tol_floor,
-        seed=args.seed,
-    )
+    return OptimizerConfig(**{f.name: getattr(args, f.name) for f in fields(OptimizerConfig)})
+
+
+# each gen type: its document before any option is read, and the options it reads with their parsers;
+# theorem2's document starts from the default phases, written as set files write them
+_PHASE_DEFAULTS = {k: complex_to_pair(getattr(Theorem2Spec, k)) for k in Theorem2Spec.PHASES}
+_GEN_TYPES = {
+    "theorem1": ({"type": "theorem1"}, {}),
+    "theorem2": ({"type": "theorem2", **_PHASE_DEFAULTS}, dict.fromkeys(Theorem2Spec.PHASES, _parse_pair)),
+    "bell": ({"type": "generalized_bell"}, {"indices": _parse_indices}),
+    "explicit": ({"type": "explicit"}, {"unitaries": lambda path: _load_json(path)[0]}),
+}
+
+
+def _gen_document(args) -> dict:
+    """The set-file document that gen's arguments describe; options of other types are refused."""
+    start, reads = _GEN_TYPES[args.type]
+    doc = {"d": args.d, **start}
+    for other, (_, options) in _GEN_TYPES.items():
+        for name, parse in options.items():
+            if (text := getattr(args, name)) is not None:
+                if other != args.type:
+                    raise ValueError(f"gen {args.type} does not read --{name}; only gen {other} does")
+                doc[name] = parse(text)
+    if missing := [name for name in reads if name not in doc]:
+        raise ValueError(f"gen {args.type} needs --{missing[0]}")
+    return doc
 
 
 def _cmd_gen(args) -> int:
-    d, named = args.d, {}  # named: what set_to_dict cannot know, the theorem family
-    if args.type == "theorem1":
-        uset = theorem1_set(d)
-        named = {"type": "theorem1"}
-    elif args.type == "theorem2":
-        given = {k: _parse_complex(v) for k in _PHASES if (v := getattr(args, k)) is not None}
-        spec = Theorem2Spec(d, **given)
-        uset = theorem2_set(spec)
-        named = {"type": "theorem2", **{k: complex_to_pair(getattr(spec, k)) for k in _PHASES}}
-    elif args.type == "bell":
-        if not args.indices:
-            raise ValueError("gen bell needs --indices 'm,n;m,n;...'")
-        uset = bell_set(d, _parse_indices(args.indices))
-    else:
-        if not args.unitaries:
-            raise ValueError("gen explicit needs --unitaries FILE (JSON list of matrices)")
-        rows, _ = _load_json(args.unitaries)
-        uset = set_from_dict({"d": d, "type": "explicit", "unitaries": rows})
-
-    _write_output(args.output, canonical_json({**set_to_dict(uset), **named}))
+    doc = _gen_document(args)
+    uset = set_from_dict(doc)
+    # the document, with the members as set_to_dict writes them; "type" keeps naming the family
+    _write_output(args.output, canonical_json({**doc, **set_to_dict(uset), "type": doc["type"]}))
     print(
-        f"generated {args.type} set: d={d}, {len(uset)} states, "
+        f"generated {args.type} set: d={args.d}, {len(uset)} states, "
         "unitarity and pairwise orthogonality verified",
         file=sys.stderr,
     )
@@ -247,47 +237,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entdis {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a set file")
-    p.add_argument("type", choices=["theorem1", "theorem2", "bell", "explicit"])
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default="-")
+    p = sub.add_parser("gen", parents=[output], help="generate a set file")
+    p.add_argument("type", choices=list(_GEN_TYPES))
     p.add_argument("--d", type=int, required=True, help="local dimension")
     p.add_argument("--indices", help="bell: 'm,n;m,n;...'")
-    for name in _PHASES:
-        default = complex_to_pair(getattr(Theorem2Spec, name))
-        p.add_argument(f"--{name}", help=f"theorem2 phase, re or re,im (default {default[0]!r},{default[1]!r})")
+    for name, (re, im) in _PHASE_DEFAULTS.items():
+        p.add_argument(f"--{name}", help=f"theorem2 phase, re or re,im (default {re!r},{im!r})")
     p.add_argument("--unitaries", help="explicit: JSON file with a list of matrices")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("decide", help="decide both directions, write verdict JSON")
-    p.add_argument("set_file")
-    _add_search_options(p)
-    p.add_argument("--output", default="-")
-    p.set_defaults(func=_cmd_decide)
-
-    p = sub.add_parser("certify", help="run only the exact provers")
-    p.add_argument("set_file")
-    p.add_argument("--output", default="-")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("search", help="run only the witness search")
-    p.add_argument("set_file")
-    _add_search_options(p)
-    p.add_argument("--output", default="-")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("simulate", help="search, complete a POVM and simulate the protocol")
-    p.add_argument("set_file")
-    _add_search_options(p)
+    # the set-file commands share the set file and --output; all but certify take the search options
+    set_file = argparse.ArgumentParser(add_help=False, parents=[output])
+    set_file.add_argument("set_file")
+    searched = argparse.ArgumentParser(add_help=False, parents=[set_file])
+    _add_search_options(searched)
+    for name, parent, func, text in (
+        ("decide", searched, _cmd_decide, "decide both directions, write verdict JSON"),
+        ("certify", set_file, _cmd_certify, "run only the exact provers"),
+        ("search", searched, _cmd_search, "run only the witness search"),
+    ):
+        sub.add_parser(name, parents=[parent], help=text).set_defaults(func=func)
+    p = sub.add_parser("simulate", parents=[searched], help="search, complete a POVM and simulate the protocol")
     p.add_argument("--trials", type=int, default=SIMULATION_TRIALS,
                    help="protocol runs, drawn as one binomial count (default %(default)s, at most 2^63 - 1)")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="size/bound table across dimensions")
+    p = sub.add_parser("sweep", parents=[output], help="size/bound table across dimensions")
     p.add_argument("d_min", type=int)
     p.add_argument("d_max", type=int)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="independently re-check a certificate against a set")

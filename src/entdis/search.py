@@ -40,7 +40,7 @@ U|conj(phi)> up to normalization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 
 import numpy as np
@@ -91,17 +91,13 @@ class OptimizerConfig:
         for name in ("max_iterations", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.success_tol > 0:  # no residual f >= 0 passes f < success_tol
+            raise ValueError(f"success_tol must be > 0, got {self.success_tol}")
         if not self.success_tol < self.failure_floor:
             raise ValueError("success_tol must be smaller than failure_floor")
 
     def to_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "max_iterations": self.max_iterations,
-            "success_tol": self.success_tol,
-            "failure_floor": self.failure_floor,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,7 @@ class Theorem2Spec:
     gamma: complex = DEFAULT_GAMMA
     sigma: complex = 1.0 + 0j
 
+    PHASES = ("omega", "gamma", "sigma")
     PHASE_TOL = 1e-12
     GAMMA_MARGIN = 1e-9
 
@@ -183,7 +184,7 @@ class Theorem2Spec:
         d = check_dimension(self.d)
         if d < 7 or d % 2 == 0:
             raise ValueError(f"block construction needs odd d >= 7, got {d}")
-        for name in ("omega", "gamma", "sigma"):
+        for name in self.PHASES:
             z = complex(getattr(self, name))
             if not abs(abs(z) - 1.0) <= self.PHASE_TOL:
                 raise ValueError(f"{name} must be a unit-modulus phase, got {z}")
@@ -307,11 +308,8 @@ def set_from_dict(doc) -> UnitarySet:
     if kind == "theorem1":
         return theorem1_set(d)
     if kind == "theorem2":
-        kwargs = {}
-        for name in ("omega", "gamma", "sigma"):
-            if name in doc:
-                kwargs[name] = pair_to_complex(doc[name])
-        return theorem2_set(Theorem2Spec(d, **kwargs))
+        phases = {name: pair_to_complex(doc[name]) for name in Theorem2Spec.PHASES if name in doc}
+        return theorem2_set(Theorem2Spec(d, **phases))
     if kind == "explicit":
         rows = doc.get("unitaries")
         if not rows:

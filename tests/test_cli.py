@@ -62,6 +62,14 @@ def test_gen_explicit_round_trip(tmp_path):
 IX = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex))
 
 
+@pytest.fixture
+def gen_dir(tmp_path, monkeypatch):
+    """tmp_path as the working directory, holding the I/X members as mats.json."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mats.json").write_text(canonical_json([matrix_to_json(m) for m in IX]))
+    return tmp_path
+
+
 @pytest.mark.parametrize(
     "args, want",
     [
@@ -75,13 +83,48 @@ IX = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex))
         (["explicit", "--d", 2, "--unitaries", "mats.json"], lambda: UnitarySet(2, IX)),
     ],
 )
-def test_gen_file_reads_back_as_the_library_set(tmp_path, monkeypatch, args, want):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "mats.json").write_text(canonical_json([matrix_to_json(m) for m in IX]))
+def test_gen_file_reads_back_as_the_library_set(gen_dir, args, want):
     assert run(["gen", *args, "--output", "set.json"]) == 0
-    got, expected = set_from_dict(json.loads((tmp_path / "set.json").read_text())), want()
+    got, expected = set_from_dict(json.loads((gen_dir / "set.json").read_text())), want()
     assert len(got) == len(expected) and got.tag == expected.tag
     assert all(np.array_equal(U, V) for U, V in zip(got.members, expected.members))
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["theorem1", "--d", 9], "89356e8553adc83baab1cf0fb306292f5ed5e2fc15aefee1454a0d442c453f39"),
+        (["theorem2", "--d", 7], "b02be1b2cf2291f5e35093f16f3c3858e813415ac5569bf725ae925a8a92c85f"),
+        (
+            ["theorem2", "--d", 9, "--omega", "0,1", "--sigma", "-1"],
+            "cc3fb4ee6aac8e14e2c94c4f14dde9b37e96175df4796f4af185d413457cdaf3",
+        ),
+        (["bell", "--d", 3, "--indices", "0,0;1,0;0,1"], "edef493163c0deaaaab1a8fabe9f1463dea5ffc12751e45b07230c9065d074fa"),
+        (["explicit", "--d", 2, "--unitaries", "mats.json"], "3654388e0847fc410a1314166fcc7d41b0c92cb210aa0a9c83633821e684bfc7"),
+    ],
+)
+def test_gen_bytes_are_pinned(gen_dir, args, digest):
+    assert run(["gen", *args, "--output", "set.json"]) == 0
+    assert sha256_hex((gen_dir / "set.json").read_text()) == digest
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["theorem1", "--d", 5, "--omega", "0,1"], "--omega"),
+        (["theorem1", "--d", 5, "--indices", "0,0;1,0"], "--indices"),
+        (["theorem2", "--d", 7, "--indices", "0,0;1,0"], "--indices"),
+        (["theorem2", "--d", 7, "--unitaries", "mats.json"], "--unitaries"),
+        (["bell", "--d", 3, "--indices", "0,0;1,0", "--unitaries", "nofile"], "--unitaries"),
+        (["bell", "--d", 3, "--indices", "0,0;1,0", "--gamma", "0,1"], "--gamma"),
+        (["explicit", "--d", 2, "--unitaries", "mats.json", "--sigma", "-1"], "--sigma"),
+        (["explicit", "--d", 2, "--unitaries", "mats.json", "--indices", "0,0;1,0"], "--indices"),
+    ],
+)
+def test_gen_refuses_options_its_type_does_not_read(gen_dir, capsys, args, option):
+    assert run(["gen", *args, "--output", "set.json"]) == 2
+    assert f"gen {args[0]} does not read {option}" in capsys.readouterr().err
+    assert not (gen_dir / "set.json").exists()
 
 
 def test_option_defaults_are_the_library_defaults():
@@ -89,6 +132,27 @@ def test_option_defaults_are_the_library_defaults():
     for command in ("decide", "search", "simulate"):
         assert _config(parser.parse_args([command, "x.json"])) == OptimizerConfig()
     assert parser.parse_args(["simulate", "x.json"]).trials == SIMULATION_TRIALS
+    # each search flag sets its own OptimizerConfig field
+    flags = {
+        "--restarts": ("restarts", 7),
+        "--max-iterations": ("max_iterations", 11),
+        "--tol-success": ("success_tol", 1e-9),
+        "--tol-floor": ("failure_floor", 1e-4),
+        "--seed": ("seed", 5),
+    }
+    for flag, (field, value) in flags.items():
+        cfg = _config(parser.parse_args(["decide", "x.json", flag, str(value)]))
+        assert cfg == OptimizerConfig(**{field: value}), flag
+    argv = ["search", "x.json"]
+    for flag, (_, value) in flags.items():
+        argv += [flag, str(value)]
+    assert _config(parser.parse_args(argv)).to_dict() == {
+        "restarts": 7,
+        "max_iterations": 11,
+        "success_tol": 1e-9,
+        "failure_floor": 1e-4,
+        "seed": 5,
+    }
 
 
 def test_gen_byte_deterministic(tmp_path):
@@ -373,4 +437,20 @@ def test_one_member_set_is_refused_by_certify_and_decide(tmp_path, capsys):
         rf = tmp_path / "out.json"
         assert run([command, sf, "--output", rf]) == 2
         assert "at least two states" in capsys.readouterr().err
+        assert not rf.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1.0"])
+def test_nonpositive_success_tol_is_refused_before_any_work(tmp_path, monkeypatch, capsys, value):
+    def no_search(*args, **kwargs):
+        raise AssertionError("witness search ran before --tol-success was checked")
+
+    monkeypatch.setattr(entdis.search, "witness_search", no_search)
+    sf = tmp_path / "triple.json"
+    run(["gen", "bell", "--d", 3, "--indices", "0,0;1,0;0,1", "--output", sf])
+    capsys.readouterr()
+    for command in ("decide", "search", "simulate"):
+        rf = tmp_path / "out.json"
+        assert run([command, sf, "--tol-success", value, "--output", rf]) == 2
+        assert f"success_tol must be > 0, got {float(value)}" in capsys.readouterr().err
         assert not rf.exists()

@@ -940,3 +940,10 @@ def test_optimizer_config_refuses_negative_seed_and_iterations(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
         OptimizerConfig(**{field: -1})
     assert OptimizerConfig(**{field: 0}).to_dict()[field] == 0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_optimizer_config_refuses_nonpositive_success_tol(tol):
+    # no restart can pass f < success_tol: the tagged qutrit triple would run all its restarts to unknown
+    with pytest.raises(ValueError, match=f"success_tol must be > 0, got {tol}"):
+        OptimizerConfig(success_tol=tol)
