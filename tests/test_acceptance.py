@@ -88,7 +88,7 @@ def test_criterion_2_flat_family_reproduction():
         worst_tr = max(worst_tr, float(tr))
         assert tr < 1e-10, d
         for direction in (s, transpose_set(s)):
-            cert = fourier_cover_prover(constraints_from_set(direction.tag, d))
+            cert = fourier_cover_prover(constraints_from_set(direction.tag, d), direction.tag)
             assert cert is not None, (d, "no certificate")
             assert verify_certificate(cert, direction), (d, "verification failed")
         worst_dt = max(worst_dt, time.monotonic() - t0)
@@ -172,7 +172,7 @@ def test_criterion_5_distinguishable_controls():
         assert w.residual < 1e-9, (triple, w.residual)
 
     diag = bell_set(4, [(m, 0) for m in range(4)])
-    assert fourier_cover_prover(constraints_from_set(diag.tag, 4)) is None
+    assert fourier_cover_prover(constraints_from_set(diag.tag, 4), diag.tag) is None
     dec = decide(diag)
     assert dec.a_to_b.kind == "distinguishable"
 

@@ -14,6 +14,7 @@ from entdis.certify import (
     BLOCK_TOL,
     RANK_RTOL,
     BlockCertificate,
+    CoverCertificate,
     _SCREEN_TOL,
     _SQRT2,
     _membership_residuals,
@@ -34,7 +35,7 @@ from entdis.certify import (
     verify_certificate,
     verify_certificate_detailed,
 )
-from entdis.search import witness_search
+from entdis.search import certify_direction, witness_search
 from entdis.serialize import canonical_json, matrix_to_json, sha256_hex
 from entdis.states import (
     Theorem2Spec,
@@ -51,16 +52,22 @@ X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def freqs_by_shift(cons):
+def difference_pairs(table):
+    """The (shift, frequency) pairs a difference table marks."""
+    return {(int(n), int(m)) for n, m in zip(*np.nonzero(table))}
+
+
+def freqs_by_shift(table):
     out = {}
-    for shift, freq in cons.constraints:
+    for shift, freq in difference_pairs(table):
         out.setdefault(shift, set()).add(freq)
     return out
 
 
 def test_constraints_single_pair():
-    cons = constraints_from_set([(0, 0), (1, 0)], 4)
-    assert cons.constraints == frozenset({(0, 1), (0, 3)})
+    table = constraints_from_set([(0, 0), (1, 0)], 4)
+    assert table.shape == (4, 4) and table.dtype == bool
+    assert difference_pairs(table) == {(0, 1), (0, 3)}
 
 
 def test_constraints_theorem1_d4():
@@ -84,8 +91,8 @@ def test_constraints_conjugate_closure():
         picks = rng.choice(d * d, size=count, replace=False)
         idx = [(int(k) // d, int(k) % d) for k in picks]
         cons = constraints_from_set(idx, d)
-        mirrored = {((-s) % d, (-f) % d) for s, f in cons.constraints}
-        assert mirrored == set(cons.constraints)
+        mirrored = {((-s) % d, (-f) % d) for s, f in difference_pairs(cons)}
+        assert mirrored == difference_pairs(cons)
 
 
 def test_constraints_reject_duplicates():
@@ -94,8 +101,10 @@ def test_constraints_reject_duplicates():
 
 
 def test_cover_prover_theorem1_d4():
-    cert = fourier_cover_prover(constraints_from_set(theorem1_indices(4), 4))
+    labels = theorem1_indices(4)
+    cert = fourier_cover_prover(constraints_from_set(labels, 4), labels)
     assert cert is not None
+    assert cert.indices == tuple(labels)
     assert cert.witness_shift == 1
     assert cert.shift0_frequencies == frozenset({1, 2, 3})
     assert cert.shiftN_frequencies == frozenset(range(4))
@@ -103,14 +112,15 @@ def test_cover_prover_theorem1_d4():
 
 
 def test_cover_prover_inconclusive_on_diagonal_set():
-    cert = fourier_cover_prover(constraints_from_set([(m, 0) for m in range(4)], 4))
+    labels = [(m, 0) for m in range(4)]
+    cert = fourier_cover_prover(constraints_from_set(labels, 4), labels)
     assert cert is None
 
 
 @pytest.mark.parametrize("d", range(4, 21))
 def test_cover_prover_certifies_family(d):
     s = theorem1_set(d)
-    cert = fourier_cover_prover(constraints_from_set(s.tag, d))
+    cert = fourier_cover_prover(constraints_from_set(s.tag, d), s.tag)
     assert cert is not None
     assert verify_certificate(cert, s)
 
@@ -121,7 +131,8 @@ def test_cover_prover_monotone_under_supersets():
         base = list(theorem1_indices(d))
         spare = [(m, n) for m in range(d) for n in range(d) if (m, n) not in base]
         extra = [spare[int(k)] for k in rng.choice(len(spare), size=2, replace=False)]
-        cert = fourier_cover_prover(constraints_from_set(base + extra, d))
+        labels = base + extra
+        cert = fourier_cover_prover(constraints_from_set(labels, d), labels)
         assert cert is not None
 
 
@@ -523,6 +534,21 @@ def test_block_prover_not_forced_for_identity_z():
     assert block_identity_prover(fs, (0, 1)) is None
 
 
+def test_block_prover_refuses_a_block_the_screen_passes():
+    # theorem2 d=7 rotated on the right by exp(i eps H) for a seeded Hermitian H
+    # and eps = 1e-5: block (0, 1) keeps a squared loss near 1e-9, inside the
+    # screen, while its residual moves to about 3e-5, far above BLOCK_TOL
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    evals, evecs = np.linalg.eigh((A + A.conj().T) / 2)
+    V = (evecs * np.exp(1e-5j * evals)) @ evecs.conj().T
+    S = hermitian_feasible_subspace(UnitarySet(7, tuple(U @ V for U in theorem2_set(Theorem2Spec(7)).members)))
+    losses = _screen_losses(S, 0, 1)
+    assert np.all(losses <= _SCREEN_TOL) and max(losses) > 1e-10
+    assert max(_projection_residuals(S, (0, 1))) > 1e-6 > BLOCK_TOL
+    assert block_identity_prover(S, (0, 1)) is None
+
+
 def test_scan_blocks_orders_and_outcomes():
     s = theorem2_set(Theorem2Spec(7))
     cert = scan_blocks(hermitian_feasible_subspace(s))
@@ -542,7 +568,7 @@ def test_scan_blocks_certifies_qubit_triple():
 
 def test_verify_cover_certificate_cases():
     s9 = theorem1_set(9)
-    cert = fourier_cover_prover(constraints_from_set(s9.tag, 9))
+    cert = fourier_cover_prover(constraints_from_set(s9.tag, 9), s9.tag)
     assert verify_certificate(cert, s9)
     ok, reason = verify_certificate_detailed(cert, theorem1_set(4))
     assert not ok and "dimension" in reason
@@ -554,7 +580,7 @@ def test_verify_cover_certificate_cases():
 
 def test_verify_cover_certificate_tamper_detection():
     s = theorem1_set(9)
-    cert = fourier_cover_prover(constraints_from_set(s.tag, 9))
+    cert = fourier_cover_prover(constraints_from_set(s.tag, 9), s.tag)
 
     bad = dataclasses.replace(cert, witness_shift=5)
     ok, reason = verify_certificate_detailed(bad, s)
@@ -583,6 +609,58 @@ def test_verify_block_certificate_tamper_detection():
     other = theorem2_set(Theorem2Spec(9))
     ok, reason = verify_certificate_detailed(cert, other)
     assert not ok
+
+
+def cover_certificate(s, shift0, witness_shift, at_shift):
+    """A cover certificate for tagged set s, stating the given frequencies."""
+    return CoverCertificate(s.d, frozenset(shift0), witness_shift, frozenset(at_shift), Fraction(1, s.d), s.tag)
+
+
+def test_verifier_names_each_rejection():
+    t1 = theorem1_set(4)
+    cover = certify_direction(t1)
+    assert isinstance(cover, CoverCertificate) and verify_certificate(cover, t1)
+    t2 = theorem2_set(Theorem2Spec(7))
+    block = certify_direction(t2)
+    assert isinstance(block, BlockCertificate) and verify_certificate(block, t2)
+    pair = bell_set(4, [(0, 0), (1, 0)])  # shift 0 carries frequencies {1, 3} only
+    diagonal = bell_set(4, [(m, 0) for m in range(4)])  # shift 0 is full, no other shift occurs
+    unforced = bell_set(5, [(0, 0), (1, 2)])
+    residuals = tuple(_membership_residuals(constraint_matrix(unforced), 5, (0, 1)))
+    cases = (
+        (cover, UnitarySet(4, t1.members), "set carries no generalized-Bell tag"),
+        (cover_certificate(pair, {1, 3}, 1, ()), pair, "shift-0 frequencies do not cover {1..d-1}"),
+        (dataclasses.replace(cover, witness_shift=0), t1, "witness shift 0 out of range"),
+        (dataclasses.replace(cover, witness_shift=4), t1, "witness shift 4 out of range"),
+        (cover_certificate(diagonal, {1, 2, 3}, 1, ()), diagonal, "shift 1 does not carry every frequency"),
+        (
+            dataclasses.replace(block, forced_functional_residuals=block.forced_functional_residuals[:2]),
+            t2,
+            "residual count mismatch",
+        ),
+        (
+            BlockCertificate(5, (0, 1), residuals, BLOCK_TOL, unitaries_hash(unforced)),
+            unforced,
+            "recomputes to residual",
+        ),
+        (42, t1, "unknown certificate type int"),
+    )
+    for cert, s, reason in cases:
+        ok, got = verify_certificate_detailed(cert, s)
+        assert not ok and reason in got, (reason, got)
+    with pytest.raises(ValueError, match="not a certificate"):
+        certificate_to_dict(certificate_to_dict(cover))
+    for doc in ([certificate_to_dict(cover)], "fourier_cover", None):
+        with pytest.raises(ValueError, match="certificate must be a JSON object"):
+            certificate_from_dict(doc)
+
+
+def test_cover_verifier_refuses_a_witness_shift_that_is_no_row():
+    # the verifier indexes the difference table by the stated shift
+    t1 = theorem1_set(4)
+    for shift in (1.5, True, -1):
+        ok, reason = verify_certificate_detailed(dataclasses.replace(certify_direction(t1), witness_shift=shift), t1)
+        assert not ok and reason == f"witness shift {shift} out of range"
 
 
 def test_verify_block_certificate_refuses_raised_or_nan_tolerance():
@@ -627,7 +705,7 @@ def test_verify_refuses_old_digest_and_three_row_certificates():
 
 def test_certificate_json_round_trips():
     s = theorem1_set(9)
-    cover = fourier_cover_prover(constraints_from_set(s.tag, 9))
+    cover = fourier_cover_prover(constraints_from_set(s.tag, 9), s.tag)
     doc = certificate_to_dict(cover)
     assert doc["kind"] == "fourier_cover"
     assert verify_certificate(certificate_from_dict(doc), s)
@@ -648,7 +726,7 @@ def test_certificate_json_round_trips():
 def test_certificate_fields_must_be_integers():
     # int() used to truncate these; both forgeries verified as (True, 'ok')
     t2 = theorem2_set(Theorem2Spec(7))
-    cover = certificate_to_dict(fourier_cover_prover(constraints_from_set(theorem1_set(4).tag, 4)))
+    cover = certificate_to_dict(certify_direction(theorem1_set(4)))
     block = certificate_to_dict(block_identity_prover(hermitian_feasible_subspace(t2), (0, 1)))
     forged_cover = dict(cover, d=4.7, witness_shift=cover["witness_shift"] + 0.5)
     forged_block = dict(block, d=7.9, block_rows=[0.5, 1.7])
@@ -664,6 +742,19 @@ def test_certificate_fields_must_be_integers():
     rows_off = dataclasses.replace(certificate_from_dict(block), block_rows=(0.5, 1.7))
     ok, reason = verify_certificate_detailed(rows_off, t2)
     assert not ok and "not an integer" in reason
+
+
+def test_malformed_cover_fields_are_refused_not_raised():
+    # a zero denominator and a one-element label used to escape as
+    # ZeroDivisionError and IndexError
+    s = theorem1_set(4)
+    cover = certificate_to_dict(certify_direction(s))
+    for field, bad in (("uniform_modulus", [1, 0]), ("indices", [[0]]), ("indices", [[0, 0, 1]])):
+        forged = dict(cover, **{field: bad})
+        with pytest.raises(ValueError, match="malformed certificate"):
+            certificate_from_dict(forged)
+        ok, reason = verify_certificate_detailed(forged, s)
+        assert not ok and reason.startswith("malformed certificate"), (field, bad, reason)
 
 
 def test_certificate_flags_and_reals_must_be_json_types():
@@ -704,7 +795,7 @@ def test_witness_projectors_lie_in_feasible_subspace():
 def test_cover_certified_sets_defeat_witness_search():
     for d in (4, 5, 6):
         s = theorem1_set(d)
-        assert fourier_cover_prover(constraints_from_set(s.tag, d)) is not None
+        assert fourier_cover_prover(constraints_from_set(s.tag, d), s.tag) is not None
         assert witness_search(s).residual > 1e-6
 
 
@@ -728,6 +819,6 @@ def test_no_prover_can_fire_on_a_pair():
         for rows in combinations(range(s.d), 2):
             assert sum(r * r for r in _projection_residuals(S, rows)) >= 1 - 1e-12
         if s.tag is not None:
-            cons = constraints_from_set(s.tag, s.d)
-            assert len(cons.constraints) <= 2 < 2 * s.d - 1
-            assert fourier_cover_prover(cons) is None
+            table = constraints_from_set(s.tag, s.d)
+            assert np.count_nonzero(table) <= 2 < 2 * s.d - 1
+            assert fourier_cover_prover(table, s.tag) is None

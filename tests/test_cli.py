@@ -281,6 +281,20 @@ def test_verify_refuses_string_flags_and_reals(tmp_path, capsys):
         assert "malformed certificate" in capsys.readouterr().err
 
 
+def test_verify_refuses_malformed_cover_certificates(tmp_path, capsys):
+    sf, cf = tmp_path / "t1.json", tmp_path / "report.json"
+    run(["gen", "theorem1", "--d", 9, "--output", sf])
+    assert run(["certify", sf, "--output", cf]) == 0
+    cert = json.loads(cf.read_text())["directions"]["A_to_B"]["certificate"]
+    assert cert["kind"] == "fourier_cover"
+    for forged in (dict(cert, uniform_modulus=[1, 0]), dict(cert, indices=[[0]])):
+        cert_file = tmp_path / "forged.json"
+        cert_file.write_text(canonical_json(forged))
+        capsys.readouterr()
+        assert run(["verify", cert_file, sf]) == 2
+        assert "malformed certificate" in capsys.readouterr().err
+
+
 def test_certify_inconclusive_on_distinguishable_set(tmp_path):
     sf = tmp_path / "set.json"
     run(["gen", "bell", "--d", 4, "--indices", "0,0;1,0;2,0;3,0", "--output", sf])

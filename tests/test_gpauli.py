@@ -3,6 +3,8 @@
 The dense oracle below builds U_{mn} = X^n Z^m from explicit shift/clock
 matrix powers, independently of gpauli.to_matrix.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from entdis.gpauli import (
     all_indices,
     apply,
     check_index,
+    difference_table,
     lagrangians,
     omega,
     to_matrix,
@@ -202,3 +205,30 @@ def test_lagrangians_are_every_isotropic_subgroup_of_order_d_once(d):
         assert L == {(m, n) for m, n in all_indices(d) if m % a == 0 and (n - m // a * b) % c == 0}
         subgroups.add(L)
     assert len(subgroups) == len(lagrangians(d)) == sigma
+
+
+def test_difference_table_marks_every_difference_of_two_labels():
+    rng = np.random.default_rng(22)
+    for _ in range(25):
+        d = int(rng.integers(2, 12))
+        picks = rng.choice(d * d, size=int(rng.integers(1, min(d * d, 7) + 1)), replace=False)
+        labels = [divmod(int(k), d) for k in picks]
+        expected = np.zeros((d, d), dtype=bool)
+        for i, (mi, ni) in enumerate(labels):
+            for j, (mj, nj) in enumerate(labels):
+                if i != j:
+                    expected[(ni - nj) % d, (mi - mj) % d] = True  # [shift, frequency]
+        assert np.array_equal(difference_table(d, labels), expected)
+
+
+def test_difference_table_forms_the_differences_in_blocks():
+    # all 1024^2 label pairs of d=32 at once would hold about 48 MB of differences
+    d = 32
+    tracemalloc.start()
+    try:
+        table = difference_table(d, all_indices(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(table) == d * d - 1 and not table[0, 0]
+    assert peak < 8 * 2**20, peak

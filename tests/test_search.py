@@ -9,6 +9,7 @@ from entdis import certify, search
 from entdis.gpauli import all_indices, to_matrix
 from entdis.search import (
     _MERGE_TOL,
+    Decision,
     ELEMENT_ORTHO_TOL,
     IDENTITY_TOL,
     OptimizerConfig,
@@ -32,6 +33,7 @@ from entdis.search import (
     povm_orthogonality_residual,
     run_protocol,
     simulate_protocol,
+    Verdict,
     witness_search,
     Witness,
 )
@@ -386,6 +388,22 @@ def test_povm_completion_untagged_single_witness_incomplete():
     assert povm_completion(s, w) is None
 
 
+def test_povm_completion_none_when_nnls_keeps_no_weight():
+    # a zero vector claiming residual 0 gives NNLS a zero column, which gets no weight
+    s = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    assert povm_completion(s, Witness(2, np.zeros(2, dtype=complex), 0.0)) is None
+
+
+def test_povm_completion_none_when_the_orthogonality_gate_fails():
+    # the computational basis resolves the identity, but <k|Z|k> = +-1 for {I, Z}
+    s = UnitarySet(2, (np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)))
+    basis = Povm(np.ones(2), np.eye(2, dtype=complex))
+    assert povm_identity_residual(basis, 2) < IDENTITY_TOL
+    assert povm_orthogonality_residual(basis, s) > ELEMENT_ORTHO_TOL
+    w = Witness(2, np.array([1, 0], dtype=complex), 0.0)
+    assert povm_completion(s, w, [(0.0, np.array([0, 1], dtype=complex))]) is None
+
+
 def test_povm_completion_untagged_with_harvest():
     s = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
     cfg = OptimizerConfig(restarts=32)
@@ -738,6 +756,19 @@ def test_decide_distinguishable_triple():
     assert dec.a_to_b.simulated_success == 1.0
     assert dec.b_to_a.kind == "distinguishable"
     assert dec.one_way_indistinguishable is False
+
+
+def test_decision_is_undecided_unless_a_direction_settles_it():
+    cfg = OptimizerConfig()
+    unknown, proven, shown = Verdict("unknown"), Verdict("indistinguishable"), Verdict("distinguishable")
+    for a, b, claim in (
+        (unknown, proven, None),
+        (proven, unknown, None),
+        (unknown, unknown, None),
+        (unknown, shown, False),
+        (proven, proven, True),
+    ):
+        assert Decision(a, b, cfg).one_way_indistinguishable is claim
 
 
 def test_decide_untagged_pair_via_nnls_completion():
