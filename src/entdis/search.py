@@ -6,7 +6,12 @@ vector alpha has pairwise-orthogonal images {U_i alpha}.  The search
 minimizes the squared violation f(alpha) = sum_{i<j} |<alpha|U_i^dag
 U_j|alpha>|^2 on the unit sphere: each random restart runs one damped
 Gauss-Newton (Levenberg-Marquardt) solve of the residual system
-<alpha|U_i^dag U_j|alpha> = 0, renormalizing after every step.  The damped
+<alpha|U_i^dag U_j|alpha> = 0, renormalizing after every step.  A tagged
+set's terms depend only on the label differences t_j - t_i, and t and -t
+give the same term, so its sum runs over one weighted Pauli per class
+{t, -t} (theorem1 d=20: 30 operators for 66 pairs), scattered from the
+labels; the POVM checks, the answer table and the provers keep reading
+the members.  The damped
 normal system is positive definite and solved by Cholesky; each trial step
 is evaluated once, and an accepted one carries its value, gradient and
 products into the next iteration.  A restart that has passed 1e-20 and
@@ -29,9 +34,10 @@ Lagrangian that avoids a tagged set's label differences, or else the Pauli
 orbit of its witness from label arithmetic; two-operand POVM residuals; one
 answer table whose exact success probability fixes a single binomial draw
 of the success count.  Their products are einsum calls, not @: a complex @
-this size wakes a spinning BLAS helper thread.  decide_direction chains the two.  scipy is imported
-on first use: LAPACK dposv by the first damped solve, nnls by untagged
-completion, so a direction that a prover certifies runs on numpy alone.
+this size wakes a spinning BLAS helper thread.  decide_direction chains the two.  Untagged
+completion solves its NNLS problem with the in-package Lawson-Hanson loop
+_nnls.  scipy is imported only for LAPACK dposv, by the first damped solve,
+so a direction that a prover certifies runs on numpy alone.
 
 Conventions: the stored witness alpha lives on the receiving (Bob) side;
 the measuring party's POVM vectors are the conjugates phi = conj(alpha),
@@ -134,8 +140,11 @@ class Povm:
 def penalty(alpha: np.ndarray, s: UnitarySet):
     """Penalty value and Riemannian gradient at a unit vector.
 
-    The Euclidean gradient over real/imaginary parts is projected onto the
-    tangent space of the sphere: rg = g - Re(<alpha, g>) alpha.
+    For a tagged set the value is taken on the exact Paulis of the labels
+    (see _pair_stacks), not on the members, which tag validation lets
+    differ from them by up to 1e-10.  The Euclidean gradient over
+    real/imaginary parts is projected onto the tangent space of the sphere:
+    rg = g - Re(<alpha, g>) alpha.
     """
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
     if alpha.shape != (s.d,):
@@ -148,8 +157,30 @@ def penalty(alpha: np.ndarray, s: UnitarySet):
 
 
 def _pair_stacks(s: UnitarySet):
-    """The pair operators W_p = U_i^dag U_j and their adjoints, as the kernels take them."""
-    W = pair_operators(s)
+    """The operators W_p the penalty sums over, and their adjoints, as the kernels take them.
+
+    An untagged set gives the pair operators U_i^dag U_j (i < j).  For a
+    tagged set U_i^dag U_j is a phase times U_t, t = t_j - t_i, and
+    |<a|U_{-t}|a>| = |<a|U_t|a>|, so each class {t, -t} of these differences
+    gives one operator sqrt(mu) U_t instead, mu the number of pairs in the
+    class and t its lower flat label m*d + n.  That stack is scattered from
+    phase_table (U_mn has w^{mk} at ((k + n) mod d, k)), and its penalty is
+    the one of the exact Paulis of the labels.
+    """
+    if s.tag is None:
+        W = pair_operators(s)
+    elif len(s) < 2:
+        raise ValueError("distinguishability needs at least two states")
+    else:
+        d, t = s.d, np.array(s.tag)
+        key = (t - t[:, None]) % d @ np.array([d, 1])  # key[i, j] = flat label of t_j - t_i
+        mu = np.bincount(np.minimum(key, key.T).ravel(), minlength=d * d) // 2  # each pair in both orders
+        mu[0] = 0  # the diagonal i = j: validation keeps the labels distinct
+        labels = np.flatnonzero(mu)
+        m, n = np.divmod(labels[:, None], d)
+        k = np.arange(d)
+        W = np.zeros((len(labels), d, d), dtype=np.complex128)
+        W[np.arange(len(labels))[:, None], (k + n) % d, k] = np.sqrt(mu[labels, None]) * phase_table(d)[m * k % d]
     return W, np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
 
 
@@ -347,6 +378,45 @@ def povm_orthogonality_residual(p: Povm, s: UnitarySet) -> float:
     return float(max(np.max(np.abs(np.einsum("pkd,kd->pk", x, np.conj(B)))) for x in WB))
 
 
+def _nnls(A: np.ndarray, b: np.ndarray, max_iterations: int | None = None):
+    """argmin ||A x - b|| over x >= 0, or None after max_iterations least-squares solves.
+
+    The active-set method of Lawson and Hanson (Solving Least Squares
+    Problems, 1974): the free column of largest gradient w = A^T (b - A x)
+    above tol joins the passive set P, and x_P is solved again by least
+    squares.  While that solution z has an entry <= 0, x moves toward z as
+    far as x >= 0 allows, and the columns that reach 0 leave P.  Rounding
+    can make a column join and leave again forever, so the solves are
+    capped at 3n by default, as in scipy.optimize.nnls.
+    """
+    m, n = A.shape
+    cap = 3 * n if max_iterations is None else max_iterations
+    tol = 10 * max(m, n) * np.finfo(float).eps * np.linalg.norm(A, 1) * np.linalg.norm(b)
+    x, passive, solves = np.zeros(n), np.zeros(n, dtype=bool), 0
+    w = A.T @ b  # the gradient, -inf on P
+    while np.max(w, initial=-np.inf) > tol:
+        passive[np.argmax(w)] = True
+        while True:
+            if solves == cap:
+                return None
+            solves += 1
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            blocking = np.flatnonzero(passive & (z <= 0))
+            if blocking.size == 0:
+                break
+            # x >= 0 >= z on the blocking columns; a column with x = z = 0 allows no step
+            ratios = x[blocking] / np.maximum(x[blocking] - z[blocking], np.finfo(float).tiny)
+            x += ratios.min() * (z - x)
+            x[blocking[np.argmin(ratios)]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+        x = z
+        w = A.T @ (b - A @ x)
+        w[passive] = -np.inf
+    return x
+
+
 def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: float = 1e-12):
     """Complete a witness into a full POVM, or None if that fails.
 
@@ -357,8 +427,8 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
     up to phase).  Otherwise all supplied witnesses below success_tol are
     pooled, the first of each phase class (|<a|b>| > 1 - _MERGE_TOL in one
     overlap einsum; rounding keeps twin columns apart, so NNLS could pick
-    either), and nonnegative least squares looks for weights resolving the
-    identity.
+    either), and nonnegative least squares (_nnls) looks for weights
+    resolving the identity; one that stops at its iteration cap gives None.
     """
     if w.residual >= success_tol:
         raise ValueError(
@@ -371,8 +441,9 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
         twins = np.abs(np.einsum("id,jd->ij", np.conj(pool), pool)) > 1.0 - _MERGE_TOL
         phis = np.conj(pool[np.argmax(twins, axis=0) == np.arange(len(pool))])  # first of each phase class
         cols = hermitian_coords(phis[:, :, None] * np.conj(phis)[:, None, :]).T
-        from scipy.optimize import nnls  # only untagged completion needs scipy.optimize
-        weights, _ = nnls(cols, hermitian_coords(np.eye(s.d, dtype=np.complex128)))
+        weights = _nnls(cols, hermitian_coords(np.eye(s.d, dtype=np.complex128)))
+        if weights is None:
+            return None
         keep = weights > 1e-12
         if not keep.any():
             return None

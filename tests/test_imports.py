@@ -1,9 +1,9 @@
 """Which scipy modules a fresh process loads.
 
-The exact provers and their verifier run on numpy alone; scipy is imported
-only by the witness search (LAPACK dposv) and by NNLS completion of untagged
-sets.  The pytest process already holds scipy, so every check runs in a new
-interpreter.
+The exact provers, their verifier and NNLS completion of untagged sets run
+on numpy alone; scipy is imported only by the witness search (LAPACK
+dposv).  The pytest process already holds scipy, so every check runs in a
+new interpreter.
 """
 import json
 import os
@@ -83,4 +83,6 @@ assert "scipy.optimize" not in sys.modules
 v = decide_direction(s)
 assert v.kind == "distinguishable" and v.simulated_success == 1.0, v
 """
-    assert "scipy.optimize" in scipy_modules_after(code, tmp_path)
+    loaded = scipy_modules_after(code, tmp_path)
+    assert "scipy.linalg" in loaded
+    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in loaded)

@@ -6,7 +6,7 @@ import pytest
 
 from entdis import _kernels as K
 from entdis import certify, search
-from entdis.gpauli import all_indices, to_matrix
+from entdis.gpauli import all_indices, to_matrix, transpose_index
 from entdis.search import (
     _MERGE_TOL,
     Decision,
@@ -16,6 +16,7 @@ from entdis.search import (
     Povm,
     _answer_table,
     _levenberg,
+    _nnls,
     _pair_stacks,
     _restart_start,
     _run_restart,
@@ -153,8 +154,7 @@ def test_untagged_ix_pair_completes_from_one_block():
 
 def test_restart_is_pure_function_of_seed_and_index():
     s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
-    W = pair_operators(s)
-    Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+    W, Wd = _pair_stacks(s)
     cfg = OptimizerConfig(restarts=6, seed=5)
     harvest = all_restarts(s, cfg)
     _, prefix = witness_search(s, cfg, collect=True)
@@ -978,3 +978,161 @@ def test_optimizer_config_refuses_nonpositive_success_tol(tol):
     # no restart can pass f < success_tol: the tagged qutrit triple would run all its restarts to unknown
     with pytest.raises(ValueError, match=f"success_tol must be > 0, got {tol}"):
         OptimizerConfig(success_tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# merged label-difference stack of tagged sets
+# ---------------------------------------------------------------------------
+
+
+def dense_stacks(s):
+    """The pair operators of the members and their adjoints, one per pair i < j."""
+    W = pair_operators(s)
+    return W, np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+
+
+def merged_stack_cases():
+    rng = np.random.default_rng(23)
+    cases = [theorem1_set(d) for d in range(4, 21)]
+    # arithmetic progressions repeat every difference; seeded draws of many labels repeat some
+    cases += [bell_set(7, [(0, k) for k in range(5)]), bell_set(6, [(k, 2 * k % 6) for k in range(4)])]
+    for _ in range(12):
+        d = int(rng.integers(3, 9))
+        picks = rng.choice(d * d, size=int(rng.integers(4, min(9, d * d) + 1)), replace=False)
+        cases.append(bell_set(d, [divmod(int(k), d) for k in picks]))
+    # order-2 differences (t = -t) and pairs
+    cases += [bell_set(4, [(0, 0), (0, 2), (2, 0), (2, 2)]), bell_set(6, [(0, 0), (3, 0), (0, 3)])]
+    cases += [bell_set(4, [(0, 0), (0, 2)]), bell_set(20, [(0, 0), (1, 1)]), bell_set(3, [(1, 2), (0, 1)])]
+    return cases
+
+
+def test_merged_stack_matches_dense_pair_stack():
+    rng = np.random.default_rng(29)
+    repeated = 0
+    for s in merged_stack_cases():
+        W, Wd = _pair_stacks(s)
+        D, Dd = dense_stacks(s)
+        pairs = len(s) * (len(s) - 1) // 2
+        assert len(W) <= pairs
+        repeated += len(W) < pairs
+        # ||sqrt(mu) U_t||_F^2 = mu d, and the classes hold every pair once
+        assert np.isclose(np.sum(np.abs(W) ** 2) / s.d, pairs)
+        assert np.array_equal(Wd, np.conj(np.swapaxes(W, 1, 2)))
+        for _ in range(3):
+            a = random_unit(rng, s.d)
+            f, grad, _, _ = K.penalty_value_grad(W, Wd, a)
+            g, dense_grad, _, _ = K.penalty_value_grad(D, Dd, a)
+            assert abs(f - g) <= 1e-12 * g, (s.d, s.tag)
+            assert np.linalg.norm(grad - dense_grad) <= 1e-12 * np.linalg.norm(dense_grad), (s.d, s.tag)
+    assert repeated >= 10
+
+
+def test_order_two_differences_keep_their_multiplicity():
+    # the six pairs of d=4 {(0,0),(0,2),(2,0),(2,2)} fall into three classes t = -t of two pairs each
+    W, _ = _pair_stacks(bell_set(4, [(0, 0), (0, 2), (2, 0), (2, 2)]))
+    assert np.allclose(np.sum(np.abs(W) ** 2, axis=(1, 2)) / 4, [2, 2, 2])
+    W, _ = _pair_stacks(bell_set(4, [(0, 0), (0, 2)]))
+    assert len(W) == 1 and np.allclose(W[0], to_matrix(4, (0, 2)))
+
+
+@pytest.mark.parametrize("d,size", [(9, 13), (20, 30), (64, 96)])
+def test_theorem1_merged_stack_sizes(d, size):
+    s = theorem1_set(d)
+    assert len(_pair_stacks(s)[0]) == size
+    assert len(s) * (len(s) - 1) // 2 > size
+    assert len(_pair_stacks(UnitarySet(d, s.members))[0]) == len(s) * (len(s) - 1) // 2
+
+
+def test_one_member_tagged_set_is_refused():
+    s = bell_set(3, [(1, 2)])
+    for call in (lambda: _pair_stacks(s), lambda: witness_search(s), lambda: penalty(np.eye(3)[0], s)):
+        with pytest.raises(ValueError, match="distinguishability needs at least two states"):
+            call()
+
+
+def test_transposed_set_gets_the_stack_of_the_mapped_labels():
+    for s in merged_stack_cases()[::3]:
+        t = transpose_set(s)
+        mapped = bell_set(s.d, [transpose_index(s.d, p).index for p in s.tag])
+        for got, want in zip(_pair_stacks(t), _pair_stacks(mapped)):
+            assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# in-package NNLS
+# ---------------------------------------------------------------------------
+
+
+def nnls_problems():
+    rng = np.random.default_rng(31)
+    full = rng.standard_normal((20, 8))
+    low = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 10))  # rank 3
+    dup = np.repeat(rng.standard_normal((9, 4)), 2, axis=1)  # every column twice
+    x0 = np.where(rng.random(8) < 0.5, rng.random(8), 0.0)
+    phis = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
+    phis /= np.linalg.norm(phis, axis=1)[:, None]
+    proj = certify.hermitian_coords(phis[:, :, None] * np.conj(phis)[:, None, :]).T
+    return [
+        ("full rank, b outside", full, rng.standard_normal(20), True),
+        ("full rank, b inside", full, full @ x0, True),
+        ("full rank, b = 0", full, np.zeros(20), True),
+        ("rank-deficient, b outside", low, rng.standard_normal(12), False),
+        ("rank-deficient, b inside", low, low @ rng.random(10), False),
+        ("duplicate columns, b outside", dup, rng.standard_normal(9), False),
+        ("duplicate columns, b inside", dup, dup @ rng.random(8), False),
+        ("small positive entry", np.eye(3), np.array([1.0, 1e-6, -1.0]), True),
+        ("projectors onto the identity", proj, certify.hermitian_coords(np.eye(3, dtype=complex)), False),
+    ]
+
+
+@pytest.mark.parametrize("name,A,b,unique", nnls_problems(), ids=[p[0] for p in nnls_problems()])
+def test_nnls_agrees_with_scipy_and_meets_kkt(name, A, b, unique):
+    from scipy.optimize import nnls
+
+    x = _nnls(A, b)
+    y, rnorm = nnls(A, b)
+    assert x is not None
+    # the fit A x is the projection of b onto the cone of the columns, so it is unique even where x is not
+    assert np.max(np.abs(A @ x - A @ y)) < 1e-10
+    assert abs(np.linalg.norm(A @ x - b) - rnorm) < 1e-10
+    if unique:
+        assert np.max(np.abs(x - y)) < 1e-10
+        assert np.array_equal(x > 1e-12, y > 1e-12)  # the weight completion keeps; scipy leaves ~1e-17 entries
+    tol = 1e-10 * np.abs(A).max() * max(1.0, np.linalg.norm(b))
+    grad = A.T @ (b - A @ x)
+    assert np.all(x >= 0)
+    assert np.all(grad[x == 0] <= tol)
+    assert np.all(np.abs(grad[x > 0]) <= tol)
+
+
+def test_nnls_agrees_with_scipy_where_columns_must_leave():
+    # more columns than rows and b outside the cone: a column that joins can push
+    # others to zero, so the loop steps back along the segment toward z
+    from scipy.optimize import nnls
+
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A, b = rng.standard_normal((6, 12)), rng.standard_normal(6)
+        x = _nnls(A, b)
+        assert x is not None and np.all(x >= 0), seed
+        assert np.max(np.abs(A @ x - A @ nnls(A, b)[0])) < 1e-10, seed
+        assert np.max(A.T @ (b - A @ x)) < 1e-10, seed
+
+
+def test_nnls_of_zero_rhs_is_zero():
+    A = np.random.default_rng(37).standard_normal((6, 4))
+    assert np.array_equal(_nnls(A, np.zeros(6)), np.zeros(4))
+
+
+def test_nnls_stops_at_its_cap_and_completion_gives_none(monkeypatch):
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((10, 6))
+    b = A @ (1.0 + rng.random(6))  # every column in the support: at least 6 solves
+    assert _nnls(A, b) is not None
+    assert _nnls(A, b, max_iterations=5) is None
+    s = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    w, harvest = witness_search(s, collect=True)
+    harvest += all_restarts(s, OptimizerConfig(restarts=4))
+    assert povm_completion(s, w, harvest) is not None
+    monkeypatch.setattr(search, "_nnls", lambda A, b: _nnls(A, b, max_iterations=1))
+    assert povm_completion(s, w, harvest) is None
