@@ -31,13 +31,14 @@ constraint matrix) on every set but a pair, where neither can fire;
 run_protocol runs search, POVM completion and the protocol simulation on
 whole arrays: the d-element stabilizer basis of a
 Lagrangian that avoids a tagged set's label differences, or else the Pauli
-orbit of its witness from label arithmetic; two-operand POVM residuals; one
-answer table whose exact success probability fixes a single binomial draw
-of the success count.  Their products are einsum calls, not @: a complex @
-this size wakes a spinning BLAS helper thread.  decide_direction chains the two.  Untagged
-completion solves its NNLS problem with the in-package Lawson-Hanson loop
-_nnls.  scipy is imported only for LAPACK dposv, by the first damped solve,
-so a direction that a prover certifies runs on numpy alone.
+orbit of its witness from label arithmetic; one stack of the receiver's
+states U_i conj(phi_k), read by the orthogonality gate and by one answer
+table whose exact success probability fixes a single binomial draw of the
+success count.  Their products are einsum calls, not @: a complex @ this
+size wakes a spinning BLAS helper thread.  decide_direction chains the two.
+Untagged completion solves its NNLS problem with the in-package Lawson-Hanson
+loop _nnls.  scipy is imported only for LAPACK dposv, by the first damped
+solve, so a direction that a prover certifies runs on numpy alone.
 
 Conventions: the stored witness alpha lives on the receiving (Bob) side;
 the measuring party's POVM vectors are the conjugates phi = conj(alpha),
@@ -74,7 +75,6 @@ ELEMENT_ORTHO_TOL = 1e-6
 SIMULATION_TRIALS = 10_000
 MAX_TRIALS = 2**63 - 1  # the binomial success count is an int64
 _MERGE_TOL = 1e-10
-_BLOCK_BYTES = 1 << 20
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -92,6 +92,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iterations", "seed"):
+            if not gpauli.is_integer(getattr(self, name)):  # range() and ^ need integers
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))  # a numpy seed overflows & _SEED_MASK
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         for name in ("max_iterations", "seed"):
@@ -328,6 +332,8 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
     Each coset keeps its lowest label, with weight |S|/d.
     """
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
+    if alpha.shape != (d,):
+        raise ValueError(f"expected a vector of length {d}, got {alpha.shape}")
     if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-10:
         raise ValueError("orbit_povm requires a unit vector")
     k = np.arange(d)
@@ -369,13 +375,18 @@ def povm_identity_residual(p: Povm, d: int) -> float:
     return float(np.max(np.abs(acc)))
 
 
+def _receiver_states(s: UnitarySet, p: Povm) -> np.ndarray:
+    """(K, N, d) stack of U_i b_k, b_k = conj(phi_k): the receiver's state after outcome k if i was sent."""
+    return np.einsum("ide,ke->kid", np.array(s.members), np.conj(p.vectors))
+
+
 def povm_orthogonality_residual(p: Povm, s: UnitarySet) -> float:
-    """Largest |<conj(phi_k)| U_i^dag U_j |conj(phi_k)>| over elements and pairs."""
-    B = np.conj(p.vectors)
-    W = pair_operators(s)
-    step = max(1, _BLOCK_BYTES // B.nbytes)  # W_p b_k over a block of pairs stays near _BLOCK_BYTES
-    WB = (np.einsum("pde,ke->pkd", W[lo : lo + step], B) for lo in range(0, len(W), step))
-    return float(max(np.max(np.abs(np.einsum("pkd,kd->pk", x, np.conj(B)))) for x in WB))
+    """Largest |<U_i b_k|U_j b_k>| = |<b_k|U_i^dag U_j|b_k>| over elements k, pairs i < j (_receiver_states)."""
+    if len(s) < 2:
+        raise ValueError("distinguishability needs at least two states")
+    R = _receiver_states(s, p)
+    i, j = np.triu_indices(len(s), k=1)
+    return float(np.max(np.abs(np.einsum("kid,kjd->kij", np.conj(R), R)[:, i, j])))
 
 
 def _nnls(A: np.ndarray, b: np.ndarray, max_iterations: int | None = None):
@@ -469,10 +480,9 @@ def _answer_table(s: UnitarySet, povm: Povm):
     holds the leftover (below 1e-16) and answers leftover[k], the first
     rejected state, or -1 (always wrong) when none was rejected.
     """
-    b = np.conj(povm.vectors)  # (K, d)
-    cand = np.einsum("ide,ke->kid", np.array(s.members), b)  # (K, n, d): U_i b_k
+    cand = _receiver_states(s, povm)  # (K, n, d)
     basis = np.zeros_like(cand)
-    leftover = np.full(len(b), -1)
+    leftover = np.full(len(povm), -1)
     for j in range(len(s)):
         u = cand[:, j].copy()
         for r in list(range(j)) * 2:  # two passes for near-parallel candidates
@@ -514,8 +524,8 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
     trial's state, outcome and answer.  Cost and memory do not grow with
     trials, and p = 1 reports exactly 1.0.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    if not (gpauli.is_integer(trials) and 1 <= trials <= MAX_TRIALS):
+        raise ValueError(f"trials must be an integer between 1 and {MAX_TRIALS}, got {trials!r}")
     if povm.weights.size == 0 or not np.all(povm.weights > 0):
         raise ValueError("POVM weights must be positive")
     bad = np.flatnonzero(~(np.abs(np.linalg.norm(povm.vectors, axis=1) - 1.0) <= 1e-10))

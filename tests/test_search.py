@@ -629,7 +629,7 @@ def test_orbit_povm_keeps_one_element_per_stabilizer_coset():
         assert np.max(np.abs(povm.weights - want_acc)) <= 1e-15, d
 
 
-# Reference copies of the dense protocol tail that label arithmetic, two-operand
+# Reference copies of the dense protocol tail that label arithmetic, receiver-state
 # contractions and the one binomial success count replace.
 
 
@@ -675,10 +675,8 @@ def test_orbit_povm_matches_dense_matvec_orbit():
             assert np.max(np.abs(got.vectors - want.vectors)) <= 1e-15, d
 
 
-@pytest.mark.parametrize("block_bytes", [search._BLOCK_BYTES, 1])  # 1: one pair per block
-def test_povm_residuals_match_three_operand_einsum(monkeypatch, block_bytes):
+def test_povm_residuals_match_three_operand_einsum():
     # the contraction order changed, so equality is up to a few roundings of d-term sums
-    monkeypatch.setattr(search, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(47)
     untagged = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
     w, harvest = witness_search(untagged), all_restarts(untagged)
@@ -980,6 +978,58 @@ def test_optimizer_config_refuses_nonpositive_success_tol(tol):
         OptimizerConfig(success_tol=tol)
 
 
+@pytest.mark.parametrize("field", ["restarts", "max_iterations", "seed"])
+def test_optimizer_config_refuses_non_integer_counts(field):
+    # a float fails later in range() or ^, and True would run as 1
+    for value in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            OptimizerConfig(**{field: value})
+    value = OptimizerConfig(**{field: np.int64(3)}).to_dict()[field]
+    assert value == 3 and type(value) is int
+
+
+def test_numpy_integer_config_decides_as_python_int():
+    s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
+    cfg = OptimizerConfig(restarts=np.int64(4), max_iterations=np.int32(50), seed=np.int64(1))
+    want = decision_to_dict(decide(s, OptimizerConfig(restarts=4, max_iterations=50, seed=1)))
+    assert canonical_json(decision_to_dict(decide(s, cfg))) == canonical_json(want)
+
+
+def test_simulate_refuses_non_integer_trials():
+    s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
+    povm = label_povm(s.d, s.tag)  # a perfect protocol: 2.5 trials would report 2 / 2.5
+    for trials in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            simulate_protocol(s, povm, trials, seed=0)
+    assert simulate_protocol(s, povm, np.int64(100), seed=0) == 1.0
+
+
+def test_orbit_povm_refuses_wrong_length():
+    for n in (2, 4):
+        with pytest.raises(ValueError, match=f"expected a vector of length 3, got \\({n},\\)"):
+            orbit_povm(3, np.eye(n, dtype=complex)[0])
+
+
+def test_decide_builds_pair_operators_only_for_the_feasible_subspace(monkeypatch):
+    # the gate and the answer table read the receiver's states U_i b_k, and a tagged search
+    # scatters its stack from the labels: only hermitian_feasible_subspace builds the dense pairs
+    builds = []
+
+    def counted(s):
+        builds.append(len(s))
+        return pair_operators(s)
+
+    monkeypatch.setattr(certify, "pair_operators", counted)
+    monkeypatch.setattr(search, "pair_operators", counted)
+    dec = decide(bell_set(3, [(0, 0), (1, 0), (0, 1)]))
+    assert [v.kind for v in (dec.a_to_b, dec.b_to_a)] == ["distinguishable"] * 2
+    assert builds == [3, 3]  # one per direction
+    builds.clear()
+    dec = decide(bell_set(20, [(0, 0), (1, 1)]))
+    assert [v.kind for v in (dec.a_to_b, dec.b_to_a)] == ["distinguishable"] * 2
+    assert builds == []  # a pair skips the provers
+
+
 # ---------------------------------------------------------------------------
 # merged label-difference stack of tagged sets
 # ---------------------------------------------------------------------------
@@ -1045,7 +1095,10 @@ def test_theorem1_merged_stack_sizes(d, size):
 
 def test_one_member_tagged_set_is_refused():
     s = bell_set(3, [(1, 2)])
-    for call in (lambda: _pair_stacks(s), lambda: witness_search(s), lambda: penalty(np.eye(3)[0], s)):
+    basis = Povm(np.ones(3), np.eye(3, dtype=complex))
+    calls = (lambda: _pair_stacks(s), lambda: witness_search(s), lambda: penalty(np.eye(3)[0], s),
+             lambda: povm_orthogonality_residual(basis, s))
+    for call in calls:
         with pytest.raises(ValueError, match="distinguishability needs at least two states"):
             call()
 
