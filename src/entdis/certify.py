@@ -27,7 +27,7 @@ Two sound (not complete) provers:
 
 pair_operators stacks every W_p = U_i^dag U_j (i < j), in row blocks small
 enough for BLAS to stay on the calling thread; the constraint rows are
-hermitian_coords of the Hermitian and anti-Hermitian parts of W_p^dag.
+hermitian_coords of hermitian_parts, which the witness search's stack holds too.
 
 verify_certificate re-derives everything from the set by least squares (one
 solve per block, on the nonzero constraint columns and the block's four),
@@ -161,18 +161,26 @@ def hermitian_coords(M: np.ndarray) -> np.ndarray:
     return x
 
 
+def hermitian_parts(W: np.ndarray) -> np.ndarray:
+    """(2P, d, d) stack of H_p = (W_p^dag + W_p)/2 for p < P, then K_p = (W_p^dag - W_p)/2i."""
+    G = np.empty((2,) + W.shape, dtype=np.complex128)
+    H, K = G  # contiguous halves: a ufunc on a strided view allocates iterator buffers
+    H[...] = np.swapaxes(W, 1, 2)
+    K[...] = np.conj(H, out=H)
+    np.divide(np.add(H, W, out=H), 2, out=H)
+    np.divide(np.subtract(K, W, out=K), 2j, out=K)
+    return G.reshape((-1,) + W.shape[1:])
+
+
 def constraint_matrix(s: UnitarySet) -> np.ndarray:
     """Real constraint rows (Re and Im of M -> Tr(U_i M U_j^dag), i < j), interleaved.
 
     Tr(U_i M U_j^dag) = Tr(W^dag M) with W = U_i^dag U_j; on Hermitian M its
-    real and imaginary parts are Tr(H M) and Tr(K M) for the Hermitian parts
-    H = (W^dag + W)/2 and K = (W^dag - W)/2i.  The (j, i) functionals are
-    conjugates on Hermitian arguments and are dropped.
+    real and imaginary parts are Tr(H M) and Tr(K M) for W's hermitian_parts.
+    The (j, i) functionals are conjugates on Hermitian arguments and are dropped.
     """
-    W = pair_operators(s)
-    Wd = np.conj(np.swapaxes(W, 1, 2))
-    parts = np.stack([(Wd + W) / 2, (Wd - W) / 2j], axis=1)  # (P, 2, d, d)
-    return hermitian_coords(parts).reshape(-1, s.d * s.d)
+    x = hermitian_coords(hermitian_parts(pair_operators(s)))
+    return x.reshape(2, -1, s.d * s.d).swapaxes(0, 1).reshape(-1, s.d * s.d)
 
 
 @dataclass(frozen=True)

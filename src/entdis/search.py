@@ -5,40 +5,39 @@ Witness search: a set of maximally entangled states defined by unitaries
 vector alpha has pairwise-orthogonal images {U_i alpha}.  The search
 minimizes the squared violation f(alpha) = sum_{i<j} |<alpha|U_i^dag
 U_j|alpha>|^2 on the unit sphere: each random restart runs one damped
-Gauss-Newton (Levenberg-Marquardt) solve of the residual system
-<alpha|U_i^dag U_j|alpha> = 0, renormalizing after every step.  A tagged
-set's terms depend only on the label differences t_j - t_i, and t and -t
-give the same term, so its sum runs over one weighted Pauli per class
-{t, -t} (theorem1 d=20: 30 operators for 66 pairs), scattered from the
-labels; the POVM checks, the answer table and the provers keep reading
-the members.  The damped
-normal system is positive definite and solved by Cholesky; each trial step
-is evaluated once, and an accepted one carries its value, gradient and
-products into the next iteration.  A restart that has passed 1e-20 and
-only crawls on is ended there, far below any success tolerance.  Each
-block of d consecutive restarts starts from one random orthonormal basis,
-so the starts pooled for NNLS completion resolve the identity; the witnesses
-found near them then do so far more often than those of independent
-starts.  Restarts run one after another, and each is a pure function of
-(seed, restart index), so results are reproducible.  The search ends at its
-first witness; for an untagged set, run_protocol adds restarts, doubling the
-whole blocks, only while POVM completion fails.  Tagged completion never
-reads the harvest, so a tagged set gets no more restarts.
+Gauss-Newton (Levenberg-Marquardt) solve of the residual system, real and
+imaginary parts of <alpha|U_i^dag U_j|alpha> = 0, renormalizing after every
+step.  Those residuals are a^dag G_q a for one stack G of Hermitian parts,
+so one stacked product G a gives the residuals, the Jacobian and the
+gradient (entdis._kernels).  A tagged set's terms depend only on the label
+differences t_j - t_i, and t and -t give the same term, so its sum runs
+over one weighted Pauli per class {t, -t} (theorem1 d=20: 30 operators for
+66 pairs), scattered from the labels; the POVM checks, the answer table and
+the provers keep reading the members.  The damped normal system is solved
+by Cholesky; an accepted trial carries its kernel results into the next
+iteration, and a restart that only crawls on below 1e-20 ends there.  Each
+block of d consecutive restarts starts from the rows of one random
+orthonormal basis (one QR), so the starts pooled for NNLS completion
+resolve the identity; the witnesses found near them then do so far more
+often than those of independent starts.  Restarts run one after another,
+each a pure function of (seed, restart index).  The search ends at its
+first witness; for an untagged set, run_protocol adds restarts, doubling
+the whole blocks, only while POVM completion fails.
 
 Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
 constraint matrix) on every set but a pair, where neither can fire;
 run_protocol runs search, POVM completion and the protocol simulation on
-whole arrays: the d-element stabilizer basis of a
-Lagrangian that avoids a tagged set's label differences, or else the Pauli
-orbit of its witness from label arithmetic; one stack of the receiver's
-states U_i conj(phi_k), read by the orthogonality gate and by one answer
-table whose exact success probability fixes a single binomial draw of the
-success count.  Their products are einsum calls, not @: a complex @ this
-size wakes a spinning BLAS helper thread.  decide_direction chains the two.
-Untagged completion solves its NNLS problem with the in-package Lawson-Hanson
-loop _nnls.  scipy is imported only for LAPACK dposv, by the first damped
-solve, so a direction that a prover certifies runs on numpy alone.
+whole arrays: the d-element stabilizer basis of a Lagrangian that avoids a
+tagged set's label differences, or else the Pauli orbit of its witness from
+label arithmetic, or NNLS over an untagged set's pooled witnesses (_nnls);
+one stack of the receiver's states U_i conj(phi_k), read by the
+orthogonality gate and by one answer table whose exact success probability
+fixes a single binomial draw of the success count.  Their products are
+einsum calls, not @: a complex @ this size wakes a spinning BLAS helper
+thread.  decide_direction chains the two.  scipy is imported only for
+LAPACK dposv, by the first damped solve, so a certified direction runs on
+numpy alone.
 
 Conventions: the stored witness alpha lives on the receiving (Bob) side;
 the measuring party's POVM vectors are the conjugates phi = conj(alpha),
@@ -59,6 +58,7 @@ from .certify import (
     fourier_cover_prover,
     hermitian_coords,
     hermitian_feasible_subspace,
+    hermitian_parts,
     pair_operators,
     scan_blocks,
     verify_certificate,
@@ -101,6 +101,9 @@ class OptimizerConfig:
         for name in ("max_iterations", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("success_tol", "failure_floor"):
+            if not np.isfinite(getattr(self, name)):  # inf would fail the JSON report after the whole decision
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.success_tol > 0:  # no residual f >= 0 passes f < success_tol
             raise ValueError(f"success_tol must be > 0, got {self.success_tol}")
         if not self.success_tol < self.failure_floor:
@@ -142,34 +145,33 @@ class Povm:
 
 
 def penalty(alpha: np.ndarray, s: UnitarySet):
-    """Penalty value and Riemannian gradient at a unit vector.
+    """Penalty value and Riemannian gradient rg = g - Re(<alpha, g>) alpha at a unit vector.
 
-    For a tagged set the value is taken on the exact Paulis of the labels
-    (see _pair_stacks), not on the members, which tag validation lets
-    differ from them by up to 1e-10.  The Euclidean gradient over
-    real/imaginary parts is projected onto the tangent space of the sphere:
-    rg = g - Re(<alpha, g>) alpha.
+    g is the Euclidean gradient over real/imaginary parts.  For a tagged set
+    the value is taken on the exact Paulis of the labels (see _pair_stacks),
+    not on the members, which tag validation lets differ by up to 1e-10.
     """
-    alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
+    alpha = np.ascontiguousarray(alpha, dtype=np.complex128).reshape(-1)  # the kernels take float64 views
     if alpha.shape != (s.d,):
         raise ValueError(f"expected a vector of length {s.d}, got {alpha.shape}")
     if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-10:
         raise ValueError("penalty requires a unit vector")
-    f, grad, _, _ = K.penalty_value_grad(*_pair_stacks(s), alpha)
+    f, grad, _ = K.penalty_value_grad(_pair_stacks(s), alpha)
     rgrad = grad - np.real(np.vdot(alpha, grad)) * alpha
     return float(f), rgrad
 
 
-def _pair_stacks(s: UnitarySet):
-    """The operators W_p the penalty sums over, and their adjoints, as the kernels take them.
+def _pair_stacks(s: UnitarySet) -> np.ndarray:
+    """The kernels' stack hermitian_parts(W) of the operators W_p the penalty sums over.
 
-    An untagged set gives the pair operators U_i^dag U_j (i < j).  For a
-    tagged set U_i^dag U_j is a phase times U_t, t = t_j - t_i, and
-    |<a|U_{-t}|a>| = |<a|U_t|a>|, so each class {t, -t} of these differences
-    gives one operator sqrt(mu) U_t instead, mu the number of pairs in the
-    class and t its lower flat label m*d + n.  That stack is scattered from
-    phase_table (U_mn has w^{mk} at ((k + n) mod d, k)), and its penalty is
-    the one of the exact Paulis of the labels.
+    |a^dag W_p a|^2 = (a^dag H_p a)^2 + (a^dag K_p a)^2.  An untagged set gives
+    the pair operators U_i^dag U_j (i < j), so its stack's hermitian_coords
+    are the rows of constraint_matrix.  For a tagged set U_i^dag U_j is a
+    phase times U_t, t = t_j - t_i, and |<a|U_{-t}|a>| = |<a|U_t|a>|, so each
+    class {t, -t} of these differences gives one operator sqrt(mu) U_t
+    instead, mu the number of pairs in the class and t its lower flat label
+    m*d + n, scattered from phase_table (U_mn has w^{mk} at ((k + n) mod d,
+    k)); its penalty is the one of the exact Paulis of the labels.
     """
     if s.tag is None:
         W = pair_operators(s)
@@ -185,7 +187,7 @@ def _pair_stacks(s: UnitarySet):
         k = np.arange(d)
         W = np.zeros((len(labels), d, d), dtype=np.complex128)
         W[np.arange(len(labels))[:, None], (k + n) % d, k] = np.sqrt(mu[labels, None]) * phase_table(d)[m * k % d]
-    return W, np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+    return hermitian_parts(W)
 
 
 @cache
@@ -208,29 +210,26 @@ def _spd_solve(m, rhs):
     return z
 
 
-def _levenberg(W, Wd, alpha, max_iterations):
-    """Levenberg-Marquardt on the residual system g_p(alpha) = 0, renormalizing.
+def _levenberg(G, alpha, max_iterations):
+    """Levenberg-Marquardt on the residual system a^dag G_q a = 0, renormalizing.
 
-    The right-hand side J^T r is half the kernel gradient, and J is built
-    from the products W a and W^dag a the kernel returns.  The normal matrix
-    J^T J gets a penalty on the radial and global-phase directions, scaled to
-    its mean diagonal: f is homogeneous of degree 4, so an undamped step would
-    shrink alpha and the renormalization would undo it.  That scale is
-    positive whenever f is, so with the damping lam * scale * I (lam >= 1e-9)
-    the system is positive definite and _spd_solve solves it by Cholesky.
-    Each trial is evaluated once by K.penalty_value_grad; an accepted trial's
-    value, gradient and products serve the next iteration unchanged.  A trial
-    that lowers f is taken and the damping drops 4x (not below 1e-9);
-    otherwise it grows 4x, up to 30 times.  Stops below 1e-28, on a relative
-    plateau over 5 iterations (coarse while f > 1e-2), on a crawl below 1e-20
-    (f fell by less than a third over 5 iterations), or when no damping
-    lowers f.
+    Each K.penalty_value_grad call gives f, the gradient (2 J^T r) and c = G a,
+    whose float64 view is half the Jacobian J; an accepted trial's results
+    serve the next iteration.  J^T J gets a penalty on the radial and
+    global-phase directions, scaled to its mean diagonal: f is homogeneous
+    of degree 4, so an undamped step would shrink alpha and the
+    renormalization would undo it.  That scale is positive whenever f is, so
+    with the damping lam * scale * I (lam >= 1e-9) _spd_solve's Cholesky
+    applies.  A trial that lowers f is taken and lam drops 4x (not below
+    1e-9); otherwise it grows 4x, up to 30 times.  Stops below 1e-28, on a
+    relative plateau over 5 iterations (coarse while f > 1e-2), on a crawl
+    below 1e-20 (f fell by less than a third), or when no damping lowers f.
     """
     d = alpha.shape[0]
     a = alpha
     lam = 1e-3
     eye = np.eye(2 * d)
-    f, grad, wa, wda = K.penalty_value_grad(W, Wd, a)
+    f, grad, c = K.penalty_value_grad(G, a)
     window_f, window_at = f, 0
     for it in range(max_iterations):
         if f < 1e-28:
@@ -242,7 +241,7 @@ def _levenberg(W, Wd, alpha, max_iterations):
             window_f, window_at = f, it
         # unknowns interleaved (Re a_0, Im a_0, Re a_1, ...): complex arrays
         # enter the real system as float64 views
-        jac = np.concatenate([wa + wda, -1j * (wa - wda)]).view(np.float64)
+        jac = 2.0 * c.view(np.float64)
         normal = jac.T @ jac
         scale = normal.trace() / (2 * d)
         uv = np.array([a, 1j * a]).view(np.float64)  # radial and phase directions
@@ -251,58 +250,58 @@ def _levenberg(W, Wd, alpha, max_iterations):
         for _ in range(30):
             trial = a + _spd_solve(normal + lam * scale * eye, rhs).view(np.complex128)
             trial /= np.linalg.norm(trial)
-            ft, gt, wat, wdat = K.penalty_value_grad(W, Wd, trial)
+            ft, gt, ct = K.penalty_value_grad(G, trial)
             if ft < f:
                 lam = max(lam / 4.0, 1e-9)
                 break
             lam *= 4.0
         else:  # no damping lowers f: stationary to machine precision
             break
-        a, f, grad, wa, wda = trial, ft, gt, wat, wdat
+        a, f, grad, c = trial, ft, gt, ct
     return a, float(f)
 
 
-def _restart_start(d, seed, index):
-    """Start of restart `index`: vector index % d of one random orthonormal basis.
-
-    Restarts m*d .. m*d + d - 1 share the basis Gram-Schmidted from complex
-    Gaussian draws seeded by seed ^ (m << 32), so every full block of d
-    starts resolves the identity and each seed below 2^32 has its own
-    blocks.  Each start is still a pure function of (seed, index).
-    """
-    m, j = divmod(index, d)
+def _restart_basis(d, seed, m):
+    """Starts of restarts m*d .. m*d + d - 1: the rows of one orthonormal basis,
+    QR-orthonormalized from complex Gaussian draws seeded by seed ^ (m << 32),
+    so each seed below 2^32 has its own blocks."""
     rng = np.random.default_rng((seed ^ (m << 32)) & _SEED_MASK)
-    z = rng.standard_normal((j + 1, 2, d))
+    z = rng.standard_normal((d, 2, d))
     q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]).T)
-    return q[:, j] * (r[j, j] / abs(r[j, j]))
+    r = np.diagonal(r)
+    return np.ascontiguousarray((q * (r / abs(r))).T)
 
 
-def _run_restart(W, Wd, d, cfg, index):
-    """One restart: the seeded unit start of _restart_start, then _levenberg;
-    returns (f, alpha)."""
-    a0 = _restart_start(d, cfg.seed, index)
-    alpha, f = _levenberg(W, Wd, a0, cfg.max_iterations)
+def _run_restart(G, basis, d, cfg, index):
+    """One _levenberg restart from row index % d of its block's _restart_basis; returns (f, alpha)."""
+    alpha, f = _levenberg(G, basis[index % d], cfg.max_iterations)
     return f, alpha
+
+
+def _restarts(G, d, cfg, start, stop):
+    """Restarts start .. stop - 1 in order, one _restart_basis per block."""
+    for r in range(start, stop):
+        if r == start or r % d == 0:
+            basis = _restart_basis(d, cfg.seed, r // d)
+        yield _run_restart(G, basis, d, cfg, r)
 
 
 def witness_search(s: UnitarySet, cfg: OptimizerConfig | None = None, *, collect: bool = False):
     """Witness from up to cfg.restarts seeded restarts, run in order until one is below success_tol.
 
     Each restart is one Levenberg-Marquardt solve of at most
-    cfg.max_iterations iterations from the unit vector _restart_start
-    picks (blocks of d restarts start from one orthonormal basis).
-    Selection: the lowest residual (ties to the lower index), so the
-    success the search stopped at, if any.
+    cfg.max_iterations iterations from one row of its block's _restart_basis.
+    Selection: the lowest residual (ties to the lower index), so the success
+    the search stopped at, if any.
 
     With collect=True also returns the per-restart (residual, alpha) list
     actually evaluated, for POVM harvesting.
     """
     cfg = cfg or OptimizerConfig()
-    W, Wd = _pair_stacks(s)
     harvest = []
-    for r in range(cfg.restarts):
-        harvest.append(_run_restart(W, Wd, s.d, cfg, r))
-        if harvest[-1][0] < cfg.success_tol:
+    for result in _restarts(_pair_stacks(s), s.d, cfg, 0, cfg.restarts):
+        harvest.append(result)
+        if result[0] < cfg.success_tol:
             break
 
     f, alpha = min(harvest, key=lambda result: result[0])
@@ -612,14 +611,14 @@ def run_protocol(s: UnitarySet, cfg: OptimizerConfig, trials: int = SIMULATION_T
     Returns (witness, restarts used, POVM or None, success rate or None).
     """
     witness, harvest = witness_search(s, cfg, collect=True)
-    povm = stacks = None
+    povm = G = None
     while witness.residual < cfg.success_tol:
         povm = povm_completion(s, witness, harvest, success_tol=cfg.success_tol)
         if povm is not None or s.tag is not None or len(harvest) >= cfg.restarts:
             break
-        stacks = stacks or _pair_stacks(s)
+        G = _pair_stacks(s) if G is None else G
         size = min(s.d << (len(harvest) // s.d).bit_length(), cfg.restarts)  # next d * 2^j
-        harvest += [_run_restart(*stacks, s.d, cfg, r) for r in range(len(harvest), size)]
+        harvest += _restarts(G, s.d, cfg, len(harvest), size)
     rate = None if povm is None else simulate_protocol(s, povm, trials, cfg.seed)
     return witness, len(harvest), povm, rate
 

@@ -454,6 +454,24 @@ def test_one_member_set_is_refused_by_certify_and_decide(tmp_path, capsys):
         assert not rf.exists()
 
 
+@pytest.mark.parametrize("flag,field", [("--tol-floor", "failure_floor"), ("--tol-success", "success_tol")])
+def test_non_finite_tolerance_is_refused_before_any_work(tmp_path, monkeypatch, capsys, flag, field):
+    # decide --tol-floor inf used to run the whole decision and then fail to write inf as JSON
+    def no_search(*args, **kwargs):
+        raise AssertionError(f"witness search ran before {flag} was checked")
+
+    monkeypatch.setattr(entdis.search, "witness_search", no_search)
+    sf = tmp_path / "triple.json"
+    run(["gen", "bell", "--d", 3, "--indices", "0,0;1,0;0,1", "--output", sf])
+    capsys.readouterr()
+    for command in ("decide", "search", "simulate"):
+        for value in ("inf", "nan"):
+            rf = tmp_path / "out.json"
+            assert run([command, sf, flag, value, "--output", rf]) == 2
+            assert f"{field} must be finite, got {float(value)!r}" in capsys.readouterr().err
+            assert not rf.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1.0"])
 def test_nonpositive_success_tol_is_refused_before_any_work(tmp_path, monkeypatch, capsys, value):
     def no_search(*args, **kwargs):

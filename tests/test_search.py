@@ -18,7 +18,7 @@ from entdis.search import (
     _levenberg,
     _nnls,
     _pair_stacks,
-    _restart_start,
+    _restart_basis,
     _run_restart,
     _spd_solve,
     _success_probability,
@@ -44,8 +44,17 @@ from entdis.states import Theorem2Spec, UnitarySet, bell_set, theorem1_set, theo
 
 def all_restarts(s, cfg=OptimizerConfig()):
     """All cfg.restarts restarts in order, past any success (the search stops at the first)."""
-    W, Wd = _pair_stacks(s)
-    return [_run_restart(W, Wd, s.d, cfg, r) for r in range(cfg.restarts)]
+    G = _pair_stacks(s)
+    return [_run_restart(G, _restart_basis(s.d, cfg.seed, r // s.d), s.d, cfg, r) for r in range(cfg.restarts)]
+
+
+def adjoints(W):
+    return np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+
+
+def operators(G):
+    """The operators W_p = H_p - i K_p of a Hermitian residual stack (H_0, ..., H_{P-1}, K_0, ..., K_{P-1})."""
+    return G[: len(G) // 2] - 1j * G[len(G) // 2 :]
 
 
 def ix_pair(d, rng):
@@ -72,14 +81,14 @@ def test_penalty_rejects_non_unit():
         penalty(np.array([1.0, 1.0], dtype=complex), s)
 
 
-def finite_difference(W, a, h=1e-6):
+def finite_difference(G, a, h=1e-6):
     d = a.shape[0]
     fd = np.empty(2 * d)
     for k in range(d):
         for part, unit in ((0, 1.0), (1, 1j)):
             e = np.zeros(d, dtype=complex)
             e[k] = unit
-            fd[k + part * d] = (K.penalty_value(W, a + h * e) - K.penalty_value(W, a - h * e)) / (2 * h)
+            fd[k + part * d] = (K.penalty_value(G, a + h * e) - K.penalty_value(G, a - h * e)) / (2 * h)
     return fd
 
 
@@ -90,13 +99,12 @@ def test_gradient_matches_finite_differences():
         count = int(rng.integers(2, min(5, d * d) + 1))
         picks = rng.choice(d * d, size=count, replace=False)
         s = bell_set(d, [(int(k) // d, int(k) % d) for k in picks])
-        W = pair_operators(s)
-        Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+        G = certify.hermitian_parts(pair_operators(s))
         a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         a /= np.linalg.norm(a)
-        _, grad, _, _ = K.penalty_value_grad(W, Wd, a)
+        _, grad, _ = K.penalty_value_grad(G, a)
         gv = np.concatenate([grad.real, grad.imag])
-        fd = finite_difference(W, a)
+        fd = finite_difference(G, a)
         assert np.linalg.norm(fd - gv) / np.linalg.norm(gv) < 1e-6
 
 
@@ -125,13 +133,52 @@ def test_half_gradient_is_jacobian_transpose_residual():
     sets += [theorem2_set(Theorem2Spec(7)), bell_set(5, [(0, 0), (2, 3)])]
     for s in sets:
         W = pair_operators(s)
-        Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+        G = certify.hermitian_parts(W)
         for _ in range(3):
             a = random_unit(rng, s.d)
-            f, grad, _, _ = K.penalty_value_grad(W, Wd, a)
-            jac, res = residual_jacobian(W, Wd, a)
+            f, grad, _ = K.penalty_value_grad(G, a)
+            jac, res = residual_jacobian(W, adjoints(W), a)
             assert abs(f - res @ res) < 1e-12
             assert np.max(np.abs(0.5 * np.concatenate([grad.real, grad.imag]) - jac.T @ res)) < 1e-12
+
+
+def test_stacked_product_view_is_the_residual_jacobian():
+    # r_q = a^dag G_q a over the interleaved (Re a_0, Im a_0, ...) has Jacobian 2 (G a).view(float64)
+    rng = np.random.default_rng(13)
+    h = 1e-6
+    for s in (theorem1_set(9), bell_set(4, [(0, 0), (0, 2), (2, 0)]), theorem2_set(Theorem2Spec(7)),
+              UnitarySet(5, bell_set(5, [(0, 0), (3, 4)]).members)):
+        G = _pair_stacks(s)
+        residuals = lambda x: np.real(np.einsum("i,qij,j->q", np.conj(x), G, x))
+        for _ in range(3):
+            a = random_unit(rng, s.d)
+            f, grad, c = K.penalty_value_grad(G, a)
+            jac = 2.0 * c.view(np.float64)
+            fd = np.empty_like(jac)
+            for k in range(2 * s.d):
+                e = np.zeros(2 * s.d)
+                e[k] = h
+                e = e.view(np.complex128)
+                fd[:, k] = (residuals(a + e) - residuals(a - e)) / (2 * h)
+            assert np.max(np.abs(jac - fd)) < 1e-8 * max(1.0, np.max(np.abs(jac))), s.d
+            r = residuals(a)
+            assert abs(f - r @ r) < 1e-12
+            assert np.max(np.abs(grad.view(np.float64) - 2.0 * jac.T @ r)) < 1e-12
+
+
+def test_untagged_search_stack_holds_the_constraint_rows():
+    # the search's Hermitian parts are exactly the operators whose coordinates the provers read
+    rng = np.random.default_rng(19)
+    sets = [theorem2_set(Theorem2Spec(7)), UnitarySet(9, theorem1_set(9).members)]
+    for d, picks in ((2, [0, 3]), (4, [1, 6, 11])):  # A U B keeps the members unitary and trace-orthogonal
+        A, B = random_unitary(rng, d), random_unitary(rng, d)
+        sets.append(UnitarySet(d, tuple(A @ U @ B for U in bell_set(d, [divmod(k, d) for k in picks]).members)))
+    for s in sets:
+        rows = certify.hermitian_coords(_pair_stacks(s))  # H_0, ..., H_{P-1}, K_0, ..., K_{P-1}
+        pairs = len(rows) // 2
+        interleaved = np.empty_like(rows)
+        interleaved[0::2], interleaved[1::2] = rows[:pairs], rows[pairs:]
+        assert np.array_equal(interleaved, certify.constraint_matrix(s))
 
 
 def test_every_restart_solves_untagged_ix_pair():
@@ -154,14 +201,14 @@ def test_untagged_ix_pair_completes_from_one_block():
 
 def test_restart_is_pure_function_of_seed_and_index():
     s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
-    W, Wd = _pair_stacks(s)
+    G = _pair_stacks(s)
     cfg = OptimizerConfig(restarts=6, seed=5)
     harvest = all_restarts(s, cfg)
     _, prefix = witness_search(s, cfg, collect=True)
     for (f, alpha), (g, beta) in zip(prefix, harvest):
         assert f == g and np.array_equal(alpha, beta)
     for k in (5, 0, 3):
-        f, alpha = _run_restart(W, Wd, s.d, cfg, k)
+        f, alpha = _run_restart(G, _restart_basis(s.d, cfg.seed, k // s.d), s.d, cfg, k)
         assert f == harvest[k][0]
         assert np.array_equal(alpha, harvest[k][1])
 
@@ -203,7 +250,7 @@ def reference_levenberg(W, Wd, alpha, max_iterations):
             z = np.linalg.solve(normal + lam * scale * eye, rhs)
             trial = a + z[:d] + 1j * z[d:]
             trial /= np.linalg.norm(trial)
-            ft = K.penalty_value(W, trial)
+            ft = reference_value_grad(W, Wd, trial)[0]
             if ft < f:
                 lam = max(lam / 4.0, 1e-9)
                 break
@@ -223,12 +270,12 @@ def test_levenberg_matches_reference_solve():
         UnitarySet(3, bell_set(3, [(0, 2), (1, 0), (2, 1)]).members),  # stalls undamped Gauss-Newton
     ):
         W = pair_operators(s)
-        Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+        G = _pair_stacks(s)
         new, old = [], []
         for k in range(cfg.restarts):
-            a0 = _restart_start(s.d, cfg.seed, k)
-            a, f = _levenberg(W, Wd, a0, cfg.max_iterations)
-            b, g = reference_levenberg(W, Wd, a0, cfg.max_iterations)
+            a0 = _restart_basis(s.d, cfg.seed, k // s.d)[k % s.d]
+            a, f = _levenberg(G, a0, cfg.max_iterations)
+            b, g = reference_levenberg(W, adjoints(W), a0, cfg.max_iterations)
             assert 1.0 - abs(np.vdot(a, b)) <= 1e-12, (s.d, k)
             assert (f < cfg.success_tol) == (g < cfg.success_tol), (s.d, k)
             new.append(f)
@@ -249,31 +296,48 @@ def test_crawling_restart_ends_below_success_tol(monkeypatch):
     # theorem2 d=7 restart 0 passes success_tol within 10 iterations, then
     # converges sublinearly; without the crawl exit below 1e-20 it ran all 2000
     s = theorem2_set(Theorem2Spec(7))
-    W = pair_operators(s)
-    Wd = np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+    G = _pair_stacks(s)
     calls = []
     for name in ("penalty_value", "penalty_value_grad"):
         kernel = getattr(K, name)
         monkeypatch.setattr(K, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
-    f, _ = _run_restart(W, Wd, s.d, OptimizerConfig(), 0)
+    f, _ = _run_restart(G, _restart_basis(s.d, 0, 0), s.d, OptimizerConfig(), 0)
     assert f < OptimizerConfig().success_tol
     assert len(calls) <= 100
 
 
 def test_restart_starts_come_in_orthonormal_bases():
     for d, seed in ((2, 0), (6, 0), (6, 9), (20, 3)):
-        starts = np.array([_restart_start(d, seed, k) for k in range(2 * d)])
+        starts = np.concatenate([_restart_basis(d, seed, 0), _restart_basis(d, seed, 1)])
         for block in (starts[:d], starts[d:]):
             assert np.max(np.abs(np.conj(block) @ block.T - np.eye(d))) < 1e-14
         assert abs(np.vdot(starts[0], starts[d])) < 1 - 1e-6
 
 
+def test_restart_basis_rows_are_the_per_index_starts():
+    # one QR per block gives, bit for bit, the starts that one QR per restart gave
+    def start(d, seed, index):
+        m, j = divmod(index, d)
+        rng = np.random.default_rng((seed ^ (m << 32)) & ((1 << 64) - 1))
+        z = rng.standard_normal((j + 1, 2, d))
+        q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]).T)
+        return q[:, j] * (r[j, j] / abs(r[j, j]))
+
+    for d in (2, 3, 5, 9, 20):
+        for seed in (0, 9, 2**40):
+            for m in range(-(-64 // d)):
+                basis = _restart_basis(d, seed, m)
+                assert basis.flags.c_contiguous
+                for j in range(d):
+                    assert np.array_equal(basis[j], start(d, seed, m * d + j)), (d, seed, m, j)
+
+
 def test_restart_pools_differ_between_seeds():
     # block m used to be seeded by seed ^ (m*d), which maps seed 8, block 0 to
     # seed 0, block 1 at d=8; seeds 0..63 then gave only d distinct pools
-    assert not np.array_equal(_restart_start(8, 0, 8), _restart_start(8, 8, 0))
+    assert not np.array_equal(_restart_basis(8, 0, 1)[0], _restart_basis(8, 8, 0)[0])
     for d in (2, 4, 8):
-        pools = {frozenset(_restart_start(d, seed, m * d).tobytes() for m in range(64 // d)) for seed in range(64)}
+        pools = {frozenset(_restart_basis(d, seed, m)[0].tobytes() for m in range(64 // d)) for seed in range(64)}
         assert len(pools) == 64, d
 
 
@@ -345,12 +409,12 @@ def test_orbit_leaves_penalty_invariant():
     rng = np.random.default_rng(17)
     for d in range(2, 7):
         s = ix_pair(d, rng)
-        W = pair_operators(s)
+        G = certify.hermitian_parts(pair_operators(s))
         a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         a /= np.linalg.norm(a)
-        f0 = K.penalty_value(W, a)
+        f0 = K.penalty_value(G, a)
         for p in all_indices(d):
-            fa = K.penalty_value(W, to_matrix(d, p) @ a)
+            fa = K.penalty_value(G, to_matrix(d, p) @ a)
             assert abs(fa - f0) <= 1e-12 * max(1.0, f0)
 
 
@@ -978,6 +1042,14 @@ def test_optimizer_config_refuses_nonpositive_success_tol(tol):
         OptimizerConfig(success_tol=tol)
 
 
+@pytest.mark.parametrize("field", ["success_tol", "failure_floor"])
+def test_optimizer_config_refuses_non_finite_tolerances(field):
+    # failure_floor=inf used to run the whole decision, then fail to write the report as JSON
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+            OptimizerConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["restarts", "max_iterations", "seed"])
 def test_optimizer_config_refuses_non_integer_counts(field):
     # a float fails later in range() or ^, and True would run as 1
@@ -1035,10 +1107,9 @@ def test_decide_builds_pair_operators_only_for_the_feasible_subspace(monkeypatch
 # ---------------------------------------------------------------------------
 
 
-def dense_stacks(s):
-    """The pair operators of the members and their adjoints, one per pair i < j."""
-    W = pair_operators(s)
-    return W, np.ascontiguousarray(np.conj(np.swapaxes(W, 1, 2)))
+def dense_stack(s):
+    """Hermitian residual stack of the members' pair operators, two rows per pair i < j."""
+    return certify.hermitian_parts(pair_operators(s))
 
 
 def merged_stack_cases():
@@ -1060,18 +1131,19 @@ def test_merged_stack_matches_dense_pair_stack():
     rng = np.random.default_rng(29)
     repeated = 0
     for s in merged_stack_cases():
-        W, Wd = _pair_stacks(s)
-        D, Dd = dense_stacks(s)
+        G = _pair_stacks(s)
+        W = operators(G)
+        D = dense_stack(s)
         pairs = len(s) * (len(s) - 1) // 2
         assert len(W) <= pairs
         repeated += len(W) < pairs
         # ||sqrt(mu) U_t||_F^2 = mu d, and the classes hold every pair once
         assert np.isclose(np.sum(np.abs(W) ** 2) / s.d, pairs)
-        assert np.array_equal(Wd, np.conj(np.swapaxes(W, 1, 2)))
+        assert np.array_equal(G, adjoints(G))
         for _ in range(3):
             a = random_unit(rng, s.d)
-            f, grad, _, _ = K.penalty_value_grad(W, Wd, a)
-            g, dense_grad, _, _ = K.penalty_value_grad(D, Dd, a)
+            f, grad, _ = K.penalty_value_grad(G, a)
+            g, dense_grad, _ = K.penalty_value_grad(D, a)
             assert abs(f - g) <= 1e-12 * g, (s.d, s.tag)
             assert np.linalg.norm(grad - dense_grad) <= 1e-12 * np.linalg.norm(dense_grad), (s.d, s.tag)
     assert repeated >= 10
@@ -1079,18 +1151,18 @@ def test_merged_stack_matches_dense_pair_stack():
 
 def test_order_two_differences_keep_their_multiplicity():
     # the six pairs of d=4 {(0,0),(0,2),(2,0),(2,2)} fall into three classes t = -t of two pairs each
-    W, _ = _pair_stacks(bell_set(4, [(0, 0), (0, 2), (2, 0), (2, 2)]))
+    W = operators(_pair_stacks(bell_set(4, [(0, 0), (0, 2), (2, 0), (2, 2)])))
     assert np.allclose(np.sum(np.abs(W) ** 2, axis=(1, 2)) / 4, [2, 2, 2])
-    W, _ = _pair_stacks(bell_set(4, [(0, 0), (0, 2)]))
+    W = operators(_pair_stacks(bell_set(4, [(0, 0), (0, 2)])))
     assert len(W) == 1 and np.allclose(W[0], to_matrix(4, (0, 2)))
 
 
 @pytest.mark.parametrize("d,size", [(9, 13), (20, 30), (64, 96)])
 def test_theorem1_merged_stack_sizes(d, size):
     s = theorem1_set(d)
-    assert len(_pair_stacks(s)[0]) == size
+    assert len(_pair_stacks(s)) == 2 * size
     assert len(s) * (len(s) - 1) // 2 > size
-    assert len(_pair_stacks(UnitarySet(d, s.members))[0]) == len(s) * (len(s) - 1) // 2
+    assert len(_pair_stacks(UnitarySet(d, s.members))) == len(s) * (len(s) - 1)
 
 
 def test_one_member_tagged_set_is_refused():
@@ -1107,8 +1179,7 @@ def test_transposed_set_gets_the_stack_of_the_mapped_labels():
     for s in merged_stack_cases()[::3]:
         t = transpose_set(s)
         mapped = bell_set(s.d, [transpose_index(s.d, p).index for p in s.tag])
-        for got, want in zip(_pair_stacks(t), _pair_stacks(mapped)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(_pair_stacks(t), _pair_stacks(mapped))
 
 
 # ---------------------------------------------------------------------------
