@@ -10,7 +10,9 @@ X = U_{01} this fixes the ordering Z X = w X Z.  Products, adjoint products
 and transposes stay inside the family up to a power of w; all phase
 bookkeeping here is exact integer arithmetic mod d, so results are
 bit-reproducible.  Dense matrices are derived artifacts realized in floating
-point only by ``to_matrix``.
+point only from ``weyl_columns``, the one place U_{mn}'s entries are
+written: ``weyl_stack`` scatters them into a stack of matrices and
+``to_matrix`` is one such stack.
 """
 from __future__ import annotations
 
@@ -65,16 +67,24 @@ def phase_table(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(d) / d)
 
 
-def apply(d, p, j):
-    """Act with U_p on the basis ket |j>.
+def weyl_columns(d: int, labels, phase=0):
+    """(rows, vals), both (L, d): column j of w^phase U_mn, label l = (m, n), holds
+    vals[l, j] = w^{(phase + m j) mod d} at row rows[l, j] = (j + n) mod d.
 
-    Returns (phase exponent, image index): U_{mn}|j> = w^{m j}|j + n mod d>.
+    Labels and exponents are read mod d.
     """
     d = check_dimension(d)
-    m, n = check_index(d, p)
-    if not (isinstance(j, (int, np.integer)) and 0 <= j < d):
-        raise ValueError(f"basis index {j!r} out of range for dimension {d}")
-    return (m * j) % d, (j + n) % d
+    m, n = np.array(labels, dtype=np.int64).reshape(-1, 2).T[:, :, None]
+    j = np.arange(d)
+    return (j + n) % d, phase_table(d)[(phase + m * j) % d]
+
+
+def weyl_stack(d: int, labels, phase=0) -> np.ndarray:
+    """(L, d, d) stack of the dense matrices w^phase U_mn, scattered from weyl_columns."""
+    rows, vals = weyl_columns(d, labels, phase)
+    W = np.zeros((len(rows), d, d), dtype=np.complex128)
+    W[np.arange(len(rows))[:, None], rows, np.arange(d)] = vals
+    return W
 
 
 def adjoint_product(d, a, b) -> PhasedPauli:
@@ -101,21 +111,10 @@ def transpose_index(d, p) -> PhasedPauli:
 
 
 def to_matrix(d, p) -> np.ndarray:
-    """Dense complex matrix of a PhasedPauli (or a bare PauliIndex).
-
-    One nonzero unit-modulus entry per column: column j holds w^{phase + m j}
-    at row (j + n) mod d.
-    """
+    """Dense complex matrix of a PhasedPauli (or a bare PauliIndex), from weyl_stack."""
     d = check_dimension(d)
-    if isinstance(p, PhasedPauli):
-        phase, idx = p
-    else:
-        phase, idx = 0, p
-    m, n = check_index(d, idx)
-    j = np.arange(d)
-    mat = np.zeros((d, d), dtype=np.complex128)
-    mat[(j + n) % d, j] = phase_table(d)[(phase + m * j) % d]
-    return mat
+    phase, idx = p if isinstance(p, PhasedPauli) else (0, p)
+    return weyl_stack(d, [check_index(d, idx)], phase)[0]
 
 
 def all_indices(d) -> list[PauliIndex]:

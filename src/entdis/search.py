@@ -65,7 +65,7 @@ from .certify import (
 )
 # all_indices and to_matrix go unused but stay importable: decidebench's tracer wraps them by name
 from . import gpauli
-from .gpauli import all_indices, lagrangians, phase_table, to_matrix  # noqa: F401
+from .gpauli import all_indices, lagrangians, to_matrix, weyl_columns, weyl_stack  # noqa: F401
 from .serialize import complex_to_pair
 from .states import UnitarySet, transpose_set
 from .version import __version__
@@ -149,7 +149,7 @@ def penalty(alpha: np.ndarray, s: UnitarySet):
 
     g is the Euclidean gradient over real/imaginary parts.  For a tagged set
     the value is taken on the exact Paulis of the labels (see _pair_stacks),
-    not on the members, which tag validation lets differ by up to 1e-10.
+    not on the members, which a transpose_set multiplies by unit phases.
     """
     alpha = np.ascontiguousarray(alpha, dtype=np.complex128).reshape(-1)  # the kernels take float64 views
     if alpha.shape != (s.d,):
@@ -170,8 +170,8 @@ def _pair_stacks(s: UnitarySet) -> np.ndarray:
     phase times U_t, t = t_j - t_i, and |<a|U_{-t}|a>| = |<a|U_t|a>|, so each
     class {t, -t} of these differences gives one operator sqrt(mu) U_t
     instead, mu the number of pairs in the class and t its lower flat label
-    m*d + n, scattered from phase_table (U_mn has w^{mk} at ((k + n) mod d,
-    k)); its penalty is the one of the exact Paulis of the labels.
+    m*d + n, built by weyl_stack; its penalty is the one of the exact Paulis
+    of the labels.
     """
     if s.tag is None:
         W = pair_operators(s)
@@ -183,10 +183,8 @@ def _pair_stacks(s: UnitarySet) -> np.ndarray:
         mu = np.bincount(np.minimum(key, key.T).ravel(), minlength=d * d) // 2  # each pair in both orders
         mu[0] = 0  # the diagonal i = j: validation keeps the labels distinct
         labels = np.flatnonzero(mu)
-        m, n = np.divmod(labels[:, None], d)
-        k = np.arange(d)
-        W = np.zeros((len(labels), d, d), dtype=np.complex128)
-        W[np.arange(len(labels))[:, None], (k + n) % d, k] = np.sqrt(mu[labels, None]) * phase_table(d)[m * k % d]
+        W = weyl_stack(d, np.stack(np.divmod(labels, d), axis=1))
+        W *= np.sqrt(mu[labels])[:, None, None]
     return hermitian_parts(W)
 
 
@@ -323,11 +321,12 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
 
     The d^2 vectors U_t alpha with weights 1/d resolve the identity
     (averaging a rank-one projector over all Pauli conjugations yields
-    Tr(rho) I); stored elements are the Alice-side conjugates, gathered from
-    the labels: (U_mn alpha)_k = w^{m(k-n)} alpha_{k-n}.  U_r alpha and
-    U_s alpha are equal up to phase exactly when U_{s-r} (a phase times
-    U_r^dag U_s) fixes alpha up to phase, so the equal elements are the cosets
-    of alpha's stabilizer S = {t : |<alpha|U_t alpha>| > 1 - _MERGE_TOL}.
+    Tr(rho) I); stored elements are the Alice-side conjugates, from
+    weyl_columns and U_mn = U_0n U_m0: the clock's values times alpha at the
+    shift's rows.  U_r alpha and U_s alpha are equal up to phase exactly when
+    U_{s-r} (a phase times U_r^dag U_s) fixes alpha up to phase, so the equal
+    elements are the cosets of alpha's stabilizer
+    S = {t : |<alpha|U_t alpha>| > 1 - _MERGE_TOL}.
     Each coset keeps its lowest label, with weight |S|/d.
     """
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
@@ -336,8 +335,11 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
     if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-10:
         raise ValueError("orbit_povm requires a unit vector")
     k = np.arange(d)
-    j = (k - k[:, None]) % d  # j[n, k] = k - n mod d; row m*d + n of V holds label (m, n)
-    V = (np.conj(phase_table(d))[k[:, None, None] * j % d] * np.conj(alpha)[j]).reshape(d * d, d)
+    labels = np.zeros((2 * d, 2), dtype=np.int64)
+    labels[:d, 0] = labels[d:, 1] = k  # the clocks (m, 0), then the shifts (0, n)
+    rows, vals = weyl_columns(d, labels)
+    V = np.empty((d * d, d), dtype=np.complex128)  # row m*d + n holds conj(U_mn alpha)
+    V.reshape(d, d, d)[:, k[:, None], rows[d:]] = (np.conj(vals[:d]) * np.conj(alpha))[:, None, :]
     stab = np.flatnonzero(np.abs(np.einsum("kd,d->k", V, alpha)) > 1.0 - _MERGE_TOL)
     m, n = np.divmod(np.arange(d * d)[:, None], d)
     reps = np.unique(((m + stab // d) % d * d + (n + stab % d) % d).min(axis=1))  # lowest label of each coset
@@ -360,8 +362,7 @@ def label_povm(d: int, tag) -> Povm | None:
     n, m = np.nonzero(gpauli.difference_table(d, tag))
     for a, b, c in lagrangians(d):
         if not np.any((m % a == 0) & ((n - m // a * b) % c == 0)):
-            # decidebench wraps the to_matrix imported above, not gpauli.to_matrix: these calls go uncounted
-            g1, g2 = gpauli.to_matrix(d, (a % d, b)), gpauli.to_matrix(d, (0, c % d))
+            g1, g2 = weyl_stack(d, [(a % d, b), (0, c % d)])
             h = np.exp(0.21j) * g1 + np.sqrt(2) * np.exp(0.37j) * g2
             return Povm(np.ones(d), np.conj(np.linalg.eigh(h + np.conj(h.T))[1].T))
     return None
@@ -440,7 +441,7 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
     either), and nonnegative least squares (_nnls) looks for weights
     resolving the identity; one that stops at its iteration cap gives None.
     """
-    if w.residual >= success_tol:
+    if not w.residual < success_tol:  # a NaN residual fails too
         raise ValueError(
             f"witness residual {w.residual:.3e} is not below success tolerance {success_tol:.1e}"
         )
@@ -525,6 +526,8 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
     """
     if not (gpauli.is_integer(trials) and 1 <= trials <= MAX_TRIALS):
         raise ValueError(f"trials must be an integer between 1 and {MAX_TRIALS}, got {trials!r}")
+    if not (gpauli.is_integer(seed) and seed >= 0):  # bools are not seeds; numpy's own errors name no argument
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if povm.weights.size == 0 or not np.all(povm.weights > 0):
         raise ValueError("POVM weights must be positive")
     bad = np.flatnonzero(~(np.abs(np.linalg.norm(povm.vectors, axis=1) - 1.0) <= 1e-10))

@@ -8,18 +8,11 @@ equivalent to trace-orthogonality Tr(U_i^dag U_j) = 0 of the unitaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gpauli import (
-    PauliIndex,
-    check_dimension,
-    check_index,
-    phase_table,
-    to_matrix,
-    transpose_index,
-)
+from .gpauli import PauliIndex, check_dimension, check_index, transpose_index, weyl_stack
 from .serialize import matrix_from_json, matrix_to_json, pair_to_complex
 
 UNITARY_TOL = 1e-10
@@ -41,15 +34,16 @@ class UnitarySet:
     members are read-only views into one (N, d, d) complex array.  Validation
     rejects non-finite entries and names the lowest-index member that is not
     unitary, then the first pair (i, j), i < j, with Tr(U_i^dag U_j) != 0.
-    tag, when present, lists the (m, n) label of each member, and each
-    tagged member must be c U_{mn} for a unit c: its entries at
-    ((j + n) mod d, j) are c w^{mj}.  The phases c are irrelevant to every
-    consumer (only index differences enter the distinguishability machinery).
+    tag, when present, lists the (m, n) label of each member k, a unit
+    multiple of U_{tag[k]}.  Only bell_set, which builds the members from the
+    labels, and transpose_set set it: a set built from members is untagged.
+    The phases are irrelevant to every consumer (only index differences enter
+    the distinguishability machinery).
     """
 
     d: int
     members: tuple
-    tag: tuple | None = None
+    tag: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
         d = check_dimension(self.d)
@@ -78,29 +72,12 @@ class UnitarySet:
                 f"members {i} and {j} are not trace-orthogonal (|Tr| = {gram[i, j]:.2e}); "
                 "the defined states are not mutually orthogonal"
             )
-        tag = self.tag
-        if tag is not None:
-            tag = tuple(check_index(d, p) for p in tag)
-            if len(tag) != len(M):
-                raise ValueError("tag length does not match member count")
-            # c[k, j] = U_k[(j + n) mod d, j] w^{-mj} is one unit c iff U_k = c U_mn (U_k is unitary)
-            m, n = np.array(tag).T[:, :, None]
-            j = np.arange(d)
-            c = M[np.arange(len(M))[:, None], (j + n) % d, j] * phase_table(d)[(-m * j) % d]
-            err = np.max(np.abs(c - c[:, :1]), axis=1) + np.abs(np.abs(c[:, 0]) - 1.0)
-            bad = np.flatnonzero(~(err <= UNITARY_TOL))
-            if bad.size:
-                k = bad[0]
-                raise ValueError(
-                    f"member {k} is not a unit multiple of U_{tuple(tag[k])} (deviation {err[k]:.2e})"
-                )
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "members", tuple(M))
-        object.__setattr__(self, "tag", tag)
 
     @classmethod
     def _from_valid(cls, d, M, tag):
-        """A set from a read-only (N, d, d) stack and a tag known to pass the checks above."""
+        """A set from a read-only (N, d, d) stack known to pass the checks above, and its tag."""
         s = object.__new__(cls)
         s.__dict__.update(d=d, members=tuple(M), tag=tag)
         return s
@@ -110,13 +87,17 @@ class UnitarySet:
 
 
 def bell_set(d, indices) -> UnitarySet:
-    """Generalized-Bell set from distinct (m, n) labels."""
+    """Generalized-Bell set tagged with its distinct (m, n) labels; its members, the
+    exact Paulis of weyl_stack, are unitary and trace-orthogonal by construction."""
     d = check_dimension(d)
     idx = [check_index(d, p) for p in indices]
+    if not idx:
+        raise ValueError("a unitary set needs at least one member")
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate Pauli indices in {idx}")
-    members = tuple(to_matrix(d, p) for p in idx)
-    return UnitarySet(d, members, tag=tuple(idx))
+    M = weyl_stack(d, idx)
+    M.setflags(write=False)
+    return UnitarySet._from_valid(d, M, tuple(idx))
 
 
 def theorem1_indices(d) -> tuple:

@@ -1,7 +1,8 @@
 """Exact algebra tests: every closed form is checked against dense matrices.
 
 The dense oracle below builds U_{mn} = X^n Z^m from explicit shift/clock
-matrix powers, independently of gpauli.to_matrix.
+matrix powers, independently of gpauli.weyl_columns, which writes every dense
+Pauli of the package.
 """
 import tracemalloc
 
@@ -13,13 +14,14 @@ from entdis.gpauli import (
     PhasedPauli,
     adjoint_product,
     all_indices,
-    apply,
     check_index,
     difference_table,
     lagrangians,
     omega,
     to_matrix,
     transpose_index,
+    weyl_columns,
+    weyl_stack,
 )
 
 TOL = 1e-12
@@ -34,40 +36,59 @@ def oracle_matrix(d, m, n):
     return np.linalg.matrix_power(X, n) @ np.linalg.matrix_power(Z, m)
 
 
+# U_p applied to the basis ket |j> is column j of weyl_columns: w^{mj} |j + n mod d>
+
+
+def applied(d, p, j, phase=0):
+    """(row, value) of U_p |j> read off weyl_columns."""
+    rows, vals = weyl_columns(d, [p], phase)
+    assert rows.shape == vals.shape == (1, d)
+    return int(rows[0, j]), vals[0, j]
+
+
 def test_apply_phase_type():
-    assert apply(4, PauliIndex(1, 0), 2) == (2, 2)
+    row, val = applied(4, PauliIndex(1, 0), 2)
+    assert row == 2 and abs(val - omega(4) ** 2) < TOL
 
 
 def test_apply_pure_shift_wraps():
-    assert apply(4, PauliIndex(0, 1), 3) == (0, 0)
+    assert applied(4, PauliIndex(0, 1), 3) == (0, 1.0)
 
 
 def test_apply_against_dense_oracle():
     # frozen from the dense matrix of U_{23} at d=5 built column by column
-    assert apply(5, PauliIndex(2, 3), 4) == (3, 2)
+    row, val = applied(5, PauliIndex(2, 3), 4)
+    assert row == 2 and abs(val - omega(5) ** 3) < TOL
     U = oracle_matrix(5, 2, 3)
     col = U[:, 4]
-    row = int(np.argmax(np.abs(col)))
-    assert row == 2
-    w = omega(5)
-    assert abs(col[row] - w**3) < TOL
+    assert int(np.argmax(np.abs(col))) == 2
+    assert abs(col[2] - omega(5) ** 3) < TOL
+    # a phase w^2 moves the entry to w^5 = 1, reduced mod d before the table lookup
+    assert applied(5, PauliIndex(2, 3), 4, phase=2) == (2, 1.0)
 
 
 def test_apply_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        apply(4, PauliIndex(1, 0), 4)
-    with pytest.raises(ValueError):
-        apply(4, PauliIndex(1, 0), -1)
+    # the checked entry point refuses labels outside Z_d; weyl_columns reads them mod d
+    for p in ((4, 0), (-1, 0), (0, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            to_matrix(4, PauliIndex(*p))
+    rows, vals = weyl_columns(4, [(1, 2), (5, -2), (-3, 6)])
+    assert (rows == rows[0]).all() and (vals == vals[0]).all()
 
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_apply_matches_matrix_columns(d):
-    for p in all_indices(d):
-        U = to_matrix(d, p)
-        for j in range(d):
-            phase, row = apply(d, p, j)
-            assert abs(U[row, j] - omega(d) ** phase) < TOL
-            assert np.count_nonzero(np.abs(U[:, j]) > TOL) == 1
+    labels = all_indices(d)
+    for phase in (0, 1, d - 1, 3 * d - 1):
+        rows, vals = weyl_columns(d, labels, phase)
+        stack = weyl_stack(d, labels, phase)
+        for k, (m, n) in enumerate(labels):
+            U = omega(d) ** phase * oracle_matrix(d, m, n)
+            assert np.max(np.abs(stack[k] - U)) < TOL
+            assert np.array_equal(stack[k], to_matrix(d, PhasedPauli(phase, PauliIndex(m, n))))
+            for j in range(d):
+                assert abs(U[rows[k, j], j] - vals[k, j]) < TOL
+                assert np.count_nonzero(np.abs(U[:, j]) > TOL) == 1
 
 
 def test_adjoint_product_self_is_identity():
@@ -179,7 +200,7 @@ def test_dimension_validation():
     with pytest.raises(ValueError):
         to_matrix(1, PauliIndex(0, 0))
     with pytest.raises(ValueError):
-        apply(0, PauliIndex(0, 0), 0)
+        weyl_columns(0, [PauliIndex(0, 0)])
     with pytest.raises(ValueError):
         adjoint_product(3, PauliIndex(3, 0), PauliIndex(0, 0))
 

@@ -6,7 +6,7 @@ import pytest
 
 from entdis import _kernels as K
 from entdis import certify, search
-from entdis.gpauli import all_indices, to_matrix, transpose_index
+from entdis.gpauli import all_indices, phase_table, to_matrix, transpose_index
 from entdis.search import (
     _MERGE_TOL,
     Decision,
@@ -445,6 +445,15 @@ def test_povm_completion_rejects_bad_witness():
         povm_completion(s, Witness(2, np.array([1, 1], dtype=complex) / np.sqrt(2), 1.0))
 
 
+def test_povm_completion_rejects_a_nan_witness():
+    nan = Witness(3, np.full(3, np.nan, dtype=complex), float("nan"))
+    with pytest.raises(ValueError, match="not below success tolerance"):
+        povm_completion(bell_set(3, [(0, 0), (1, 0), (0, 1)]), nan)
+    pair = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
+    with pytest.raises(ValueError, match="not below success tolerance"):
+        povm_completion(pair, Witness(2, np.full(2, np.nan, dtype=complex), float("nan")))
+
+
 def test_povm_completion_untagged_single_witness_incomplete():
     # a single rank-one element cannot resolve the identity at d >= 2
     s = UnitarySet(2, (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)))
@@ -518,6 +527,16 @@ def test_simulate_validates_input():
         simulate_protocol(s, nonunit, 100, seed=0)
     with pytest.raises(ValueError):
         witness_search(UnitarySet(2, (np.eye(2, dtype=complex),)))
+
+
+def test_simulate_refuses_a_bad_seed():
+    s = bell_set(2, [(0, 0), (0, 1)])
+    good = orbit_povm(2, np.array([1, 0], dtype=complex))
+    for seed in (1.5, -1, True, np.float64(2.0), "1", None):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            simulate_protocol(s, good, 100, seed=seed)
+    for seed in (0, np.int64(7), np.uint64(2**63)):
+        assert simulate_protocol(s, good, 100, seed=seed) == 1.0
 
 
 # Reference implementations: the per-outcome receiver-basis loop and the
@@ -771,6 +790,19 @@ def test_simulation_law_matches_gathered_rows_reference():
         p = _success_probability(s, povm)
         assert abs(p - reference_law(s, povm)) < 1e-12, s.d
         assert_rates_follow_law(s, povm, p, s.d)
+
+
+@pytest.mark.parametrize("d", [*range(2, 10), 20, 64])
+def test_orbit_is_bitwise_the_former_gather(d):
+    # the former gather, inlined as the reference: row m*d + n holds conj(w^{m(k-n)}) conj(alpha_{k-n}) in column k
+    rng = np.random.default_rng(d)
+    alpha = random_unit(rng, d)
+    k = np.arange(d)
+    j = (k - k[:, None]) % d
+    ref = (np.conj(phase_table(d))[k[:, None, None] * j % d] * np.conj(alpha)[j]).reshape(d * d, d)
+    p = orbit_povm(d, alpha)
+    assert len(p) == d * d  # a generic vector has a trivial stabilizer, so every row is kept in label order
+    assert np.array_equal(p.vectors.view(np.uint64), ref.view(np.uint64))
 
 
 def test_orbit_povm_rejects_non_unit_vector():
@@ -1173,6 +1205,24 @@ def test_one_member_tagged_set_is_refused():
     for call in calls:
         with pytest.raises(ValueError, match="distinguishability needs at least two states"):
             call()
+
+
+@pytest.mark.parametrize("d", [*range(2, 10), 20, 64])
+def test_merged_stack_is_bitwise_the_former_scatter(d):
+    # the former class stack, inlined as the reference: sqrt(mu) w^{mk} scattered at ((k + n) mod d, k) per class label
+    rng = np.random.default_rng(d)
+    picks = rng.choice(d * d, size=min(d * d, 12), replace=False)
+    s = bell_set(d, [divmod(int(k), d) for k in picks])
+    t = np.array(s.tag)
+    key = (t - t[:, None]) % d @ np.array([d, 1])
+    mu = np.bincount(np.minimum(key, key.T).ravel(), minlength=d * d) // 2
+    mu[0] = 0
+    labels = np.flatnonzero(mu)
+    m, n = np.divmod(labels[:, None], d)
+    k = np.arange(d)
+    W = np.zeros((len(labels), d, d), dtype=np.complex128)
+    W[np.arange(len(labels))[:, None], (k + n) % d, k] = np.sqrt(mu[labels, None]) * phase_table(d)[m * k % d]
+    assert np.array_equal(_pair_stacks(s).view(np.uint64), certify.hermitian_parts(W).view(np.uint64))
 
 
 def test_transposed_set_gets_the_stack_of_the_mapped_labels():

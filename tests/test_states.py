@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import entdis.states
-from entdis.gpauli import PauliIndex, PhasedPauli, to_matrix
+from entdis.gpauli import PauliIndex, PhasedPauli, phase_table, to_matrix
 from entdis.states import (
     Theorem2Spec,
     UnitarySet,
@@ -20,6 +20,7 @@ from entdis.states import (
     theorem2_set,
     transpose_set,
 )
+from test_gpauli import oracle_matrix
 
 
 def pairwise_trace_max(s):
@@ -47,6 +48,21 @@ def test_bell_set_diagonal_qutrits():
 def test_bell_set_rejects_duplicates():
     with pytest.raises(ValueError):
         bell_set(4, [(1, 1), (1, 1)])
+
+
+def test_bell_set_refuses_what_the_dense_constructor_refused():
+    with pytest.raises(ValueError, match="^a unitary set needs at least one member$"):
+        bell_set(3, [])
+    with pytest.raises(ValueError, match="duplicate Pauli indices"):
+        bell_set(3, [(0, 1), (2, 2), (0, 1)])
+    for p in ((3, 0), (0, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            bell_set(3, [(0, 0), p])
+    for p in ((0.5, 0), (True, 1), (1, np.float64(2))):
+        with pytest.raises(ValueError, match="pair of integers"):
+            bell_set(3, [(0, 0), p])
+    with pytest.raises(ValueError, match="dimension"):
+        bell_set(1, [(0, 0)])
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -179,7 +195,11 @@ def test_transpose_set_takes_the_validated_stack_as_is(monkeypatch):
     monkeypatch.undo()
     for s in sets:  # the transposes pass the checks they skipped
         t = transpose_set(s)
-        assert UnitarySet(t.d, t.members, tag=t.tag).tag == t.tag
+        UnitarySet(t.d, t.members)
+        for U, p in zip(t.members, t.tag or ()):  # a unit multiple of the Pauli of the mapped label
+            P = to_matrix(t.d, p)
+            c = np.vdot(P, U) / t.d
+            assert abs(abs(c) - 1.0) < 1e-12 and np.max(np.abs(U - c * P)) < 1e-12
 
 
 def test_check_maximally_entangled_cases():
@@ -297,15 +317,47 @@ def test_validation_holds_the_member_stack_once():
 
 
 def test_tag_must_describe_its_members():
-    # five diagonal states, tagged as if two of them were shifts: the tag
-    # would let the cover prover and its verifier certify a distinguishable set
+    # the tag is derived from the labels the members are built from: a caller
+    # cannot pass one, which the cover prover and its verifier would trust
     diagonal = bell_set(5, [(m, 0) for m in range(5)])
-    with pytest.raises(ValueError, match=r"member 3 is not a unit multiple of U_\(0, 1\)"):
+    with pytest.raises(TypeError, match="tag"):
         UnitarySet(5, diagonal.members, tag=[(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)])
-    with pytest.raises(ValueError, match="member 0 is not a unit multiple"):
-        UnitarySet(5, diagonal.members[::-1], tag=diagonal.tag)
-    phased = UnitarySet(5, tuple(np.exp(0.3j * k) * U for k, U in enumerate(diagonal.members)), tag=diagonal.tag)
-    assert phased.tag == diagonal.tag
+    assert UnitarySet(5, diagonal.members).tag is None
+    for d in range(2, 8):
+        s = bell_set(d, [(m, n) for m in range(d) for n in range(d)])
+        for U, (m, n) in zip(s.members, s.tag):
+            assert np.max(np.abs(U - oracle_matrix(d, m, n))) < 1e-12
+
+
+def test_bell_members_pass_the_dense_checks():
+    # bell_set skips UnitarySet's unitarity and orthogonality checks; they hold on a seeded slice of label sets
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        d = int(rng.integers(2, 12))
+        picks = rng.choice(d * d, size=int(rng.integers(1, min(12, d * d) + 1)), replace=False)
+        s = bell_set(d, [divmod(int(k), d) for k in picks])
+        M = np.array(s.members)
+        assert M.shape == (len(picks), d, d) and not any(U.flags.writeable for U in s.members)
+        assert np.max(np.abs(np.conj(np.swapaxes(M, 1, 2)) @ M - np.eye(d))) < 1e-12
+        gram = np.abs(np.einsum("iab,jab->ij", np.conj(M), M))
+        assert np.max(gram - d * np.eye(len(M))) < 1e-12 * d
+        assert UnitarySet(d, s.members).members[0].tobytes() == s.members[0].tobytes()
+
+
+@pytest.mark.parametrize("d", [*range(2, 10), 20, 64])
+def test_bell_members_are_bitwise_the_former_scatter(d):
+    # the former to_matrix, inlined as the reference: zeros, then w^{mj} scattered at ((j + n) mod d, j)
+    def reference(d, m, n):
+        j = np.arange(d)
+        mat = np.zeros((d, d), dtype=np.complex128)
+        mat[(j + n) % d, j] = phase_table(d)[(m * j) % d]
+        return mat
+
+    rng = np.random.default_rng(d)
+    picks = rng.choice(d * d, size=min(d * d, 40), replace=False)
+    s = bell_set(d, [divmod(int(k), d) for k in picks])
+    ref = np.array([reference(d, m, n) for m, n in s.tag])
+    assert np.array_equal(np.array(s.members).view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("d", [*range(4, 21), 64])
