@@ -29,17 +29,20 @@ pair_operators stacks every W_p = U_i^dag U_j (i < j), in row blocks small
 enough for BLAS to stay on the calling thread; the constraint rows are
 hermitian_coords of hermitian_parts, which the witness search's stack holds too.
 
-verify_certificate re-derives everything from the set by least squares (one
-solve per block, on the nonzero constraint columns and the block's four),
-so certificates are independently checkable artifacts; it refuses a stated
-tolerance above BLOCK_TOL.  A block certificate names its set by
-unitaries_hash, a SHA-256 of the member bytes, which the verifier recomputes.
+verify_certificate runs every check against the set, block residuals by
+least squares (one solve per block, on the nonzero constraint columns and the
+block's four).  decide and certify hand it the table or matrix their prover
+just built; entdis verify builds its own from the set, so certificates stay
+independently checkable artifacts.  It refuses a stated tolerance above
+BLOCK_TOL.  A block certificate names its set by unitaries_hash, a SHA-256 of
+the member bytes, which the verifier recomputes.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -136,12 +139,20 @@ def fourier_cover_prover(table: np.ndarray, indices):
 # functionals in them directly.
 
 
+@lru_cache(maxsize=16)
+def triu_pairs(n: int) -> tuple:
+    """np.triu_indices(n, k=1) as read-only arrays, computed once per n."""
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def pair_operators(s: UnitarySet) -> np.ndarray:
     """Stacked W_p = U_i^dag U_j over pairs i < j in np.triu_indices order, in blocks of < 2^16 / d^2 rows."""
     if len(s) < 2:
         raise ValueError("distinguishability needs at least two states")
     U = np.array(s.members)
-    i, j = np.triu_indices(len(s), k=1)
+    i, j = triu_pairs(len(s))
     left, right = np.conj(np.swapaxes(U, 1, 2))[i], U[j]
     W, step = np.empty_like(right), max(1, _PAIR_BLOCK_ELEMENTS // s.d**2)
     for r in range(0, s.d, step):
@@ -152,7 +163,7 @@ def pair_operators(s: UnitarySet) -> np.ndarray:
 def hermitian_coords(M: np.ndarray) -> np.ndarray:
     """Coordinates Tr(B_k M) of Hermitian matrices, (..., d, d) -> (..., d^2)."""
     d = M.shape[-1]
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = triu_pairs(d)
     upper = M[..., iu, ju]
     x = np.empty(M.shape[:-2] + (d * d,))
     x[..., :d] = np.real(np.diagonal(M, axis1=-2, axis2=-1))
@@ -190,12 +201,15 @@ class FeasibleSubspace:
     row_basis has orthonormal rows spanning the row space of the constraint
     matrix; S is their orthogonal complement in Hermitian coordinates, so a
     functional is forced on S exactly when it lies in that row space.
+    constraints is that matrix (read-only), which certify_direction hands to
+    verify_certificate.
     """
 
     d: int
     unitaries: UnitarySet
     row_basis: np.ndarray
     constraint_rank: int
+    constraints: np.ndarray
 
     def dim(self) -> int:
         return self.d * self.d - self.constraint_rank
@@ -211,12 +225,13 @@ def hermitian_feasible_subspace(s: UnitarySet) -> FeasibleSubspace:
     raises otherwise).
     """
     A = constraint_matrix(s)
+    A.setflags(write=False)
     support = np.flatnonzero(np.any(A, axis=0))
     _, sv, vt = np.linalg.svd(A[:, support], full_matrices=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0]))
     row_basis = np.zeros((rank, s.d * s.d))
     row_basis[:, support] = vt[:rank]
-    return FeasibleSubspace(s.d, s, row_basis, rank)
+    return FeasibleSubspace(s.d, s, row_basis, rank, A)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +409,15 @@ def certificate_from_dict(doc) -> CoverCertificate | BlockCertificate:
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
-def _verify_cover(cert: CoverCertificate, s: UnitarySet):
+def _verify_cover(cert: CoverCertificate, s: UnitarySet, table: np.ndarray | None):
     if cert.d != s.d:
         return False, f"dimension mismatch: certificate d={cert.d}, set d={s.d}"
     if s.tag is None:
         return False, "set carries no generalized-Bell tag"
     if cert.indices is not None and sorted(cert.indices) != sorted((p.m, p.n) for p in s.tag):
         return False, "certificate indices do not match the set"
-    table = constraints_from_set(s.tag, s.d)
+    if table is None:
+        table = constraints_from_set(s.tag, s.d)
     if set(cert.shift0_frequencies) != _frequencies(table, 0):
         return False, "stored shift-0 frequencies disagree with recomputation"
     if not table[0, 1:].all():
@@ -418,7 +434,7 @@ def _verify_cover(cert: CoverCertificate, s: UnitarySet):
     return True, "ok"
 
 
-def _verify_block(cert: BlockCertificate, s: UnitarySet):
+def _verify_block(cert: BlockCertificate, s: UnitarySet, A: np.ndarray | None):
     if cert.d != s.d:
         return False, f"dimension mismatch: certificate d={cert.d}, set d={s.d}"
     if unitaries_hash(s) != cert.unitaries_sha256:
@@ -431,7 +447,7 @@ def _verify_block(cert: BlockCertificate, s: UnitarySet):
         rows = _check_block_rows(s.d, cert.block_rows)
     except ValueError as exc:
         return False, str(exc)
-    residuals = _membership_residuals(constraint_matrix(s), s.d, rows)
+    residuals = _membership_residuals(constraint_matrix(s) if A is None else A, s.d, rows)
     if len(residuals) != len(cert.forced_functional_residuals):
         return False, "residual count mismatch"
     for k, (rec, stored) in enumerate(zip(residuals, cert.forced_functional_residuals)):
@@ -442,21 +458,39 @@ def _verify_block(cert: BlockCertificate, s: UnitarySet):
     return True, "ok"
 
 
-def verify_certificate_detailed(cert, s: UnitarySet):
-    """(ok, reason).  Re-derives every check from the set itself."""
+def _fitting(constraints, shape: tuple, dtype, kind: str):
+    """None, or constraints as an array of this shape and dtype; raises ValueError on any other array."""
+    if constraints is None:
+        return None
+    a = np.asarray(constraints)
+    if a.shape != shape or a.dtype != dtype:
+        want = f"{np.dtype(dtype)} array of shape {shape}"
+        raise ValueError(f"a {kind} certificate reads a {want}, got {a.dtype} {a.shape}")
+    return a
+
+
+def verify_certificate_detailed(cert, s: UnitarySet, *, constraints: np.ndarray | None = None):
+    """(ok, reason) of every check of the certificate against the set.
+
+    constraints is the array the checks read, the prover's in
+    certify_direction: a cover's (d, d) bool constraints_from_set table, a
+    block's (N(N-1), d^2) float64 constraint_matrix.  Without it the verifier
+    builds its own from s; one of the wrong shape or dtype raises ValueError.
+    """
     if isinstance(cert, dict):
         try:
             cert = certificate_from_dict(cert)
         except ValueError as exc:
             return False, str(exc)
     if isinstance(cert, CoverCertificate):
-        return _verify_cover(cert, s)
+        return _verify_cover(cert, s, _fitting(constraints, (s.d, s.d), np.bool_, "fourier_cover"))
     if isinstance(cert, BlockCertificate):
-        return _verify_block(cert, s)
+        shape = (len(s) * (len(s) - 1), s.d * s.d)
+        return _verify_block(cert, s, _fitting(constraints, shape, np.float64, "forced_block"))
     return False, f"unknown certificate type {type(cert).__name__}"
 
 
-def verify_certificate(cert, s: UnitarySet) -> bool:
-    """True iff the certificate independently re-verifies against the set."""
-    ok, _ = verify_certificate_detailed(cert, s)
+def verify_certificate(cert, s: UnitarySet, *, constraints: np.ndarray | None = None) -> bool:
+    """True iff the certificate passes every check against the set (verify_certificate_detailed)."""
+    ok, _ = verify_certificate_detailed(cert, s, constraints=constraints)
     return ok

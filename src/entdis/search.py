@@ -61,6 +61,7 @@ from .certify import (
     hermitian_parts,
     pair_operators,
     scan_blocks,
+    triu_pairs,
     verify_certificate,
 )
 # all_indices and to_matrix go unused but stay importable: decidebench's tracer wraps them by name
@@ -385,7 +386,7 @@ def povm_orthogonality_residual(p: Povm, s: UnitarySet) -> float:
     if len(s) < 2:
         raise ValueError("distinguishability needs at least two states")
     R = _receiver_states(s, p)
-    i, j = np.triu_indices(len(s), k=1)
+    i, j = triu_pairs(len(s))
     return float(np.max(np.abs(np.einsum("kid,kjd->kij", np.conj(R), R)[:, i, j])))
 
 
@@ -585,20 +586,23 @@ def certify_direction(s: UnitarySet):
     """Verified certificate for one direction, or None (inconclusive).
 
     Fourier-cover prover on Pauli-tagged sets, then the forced-block scan;
-    a certificate counts only once verify_certificate re-derives it.  Pairs
-    skip both (two orthogonal maximally entangled states are one-way
-    distinguishable, Walgate et al., PRL 85, 4972): 2 constraint rows hold
-    no three orthonormal block functionals within BLOCK_TOL, and 2 labels
-    (+-t) cannot cover the 2d - 1 >= 3 that a Fourier cover needs.
+    a certificate counts only once verify_certificate passes it on the table
+    or matrix its prover built in this call.  Pairs skip both (two
+    orthogonal maximally entangled states are one-way distinguishable,
+    Walgate et al., PRL 85, 4972): 2 constraint rows hold no three
+    orthonormal block functionals within BLOCK_TOL, and 2 labels (+-t)
+    cannot cover the 2d - 1 >= 3 that a Fourier cover needs.
     """
     if len(s) == 2:
         return None
     if s.tag is not None:
-        cert = fourier_cover_prover(constraints_from_set(s.tag, s.d), s.tag)
-        if cert is not None and verify_certificate(cert, s):
+        table = constraints_from_set(s.tag, s.d)
+        cert = fourier_cover_prover(table, s.tag)
+        if cert is not None and verify_certificate(cert, s, constraints=table):
             return cert
-    cert = scan_blocks(hermitian_feasible_subspace(s))
-    if cert is not None and verify_certificate(cert, s):
+    S = hermitian_feasible_subspace(s)
+    cert = scan_blocks(S)
+    if cert is not None and verify_certificate(cert, s, constraints=S.constraints):
         return cert
     return None
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import entdis.certify
+import entdis.search
 from entdis.certify import (
     BLOCK_TOL,
     RANK_RTOL,
@@ -31,11 +34,13 @@ from entdis.certify import (
     hermitian_feasible_subspace,
     pair_operators,
     scan_blocks,
+    triu_pairs,
     unitaries_hash,
     verify_certificate,
     verify_certificate_detailed,
 )
-from entdis.search import certify_direction, witness_search
+from entdis.cli import main as cli_main
+from entdis.search import certify_direction, decide, witness_search
 from entdis.serialize import canonical_json, matrix_to_json, sha256_hex
 from entdis.states import (
     Theorem2Spec,
@@ -822,3 +827,145 @@ def test_no_prover_can_fire_on_a_pair():
             table = constraints_from_set(s.tag, s.d)
             assert np.count_nonzero(table) <= 2 < 2 * s.d - 1
             assert fourier_cover_prover(table, s.tag) is None
+
+
+# ---------------------------------------------------------------------------
+# one constraint build per certified direction
+# ---------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Patch name in each module with a wrapper that logs its calls; returns the log."""
+    calls = []
+    for module in modules:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_triu_pairs_is_a_read_only_bounded_cache_of_triu_indices():
+    for n in range(7):
+        i, j = triu_pairs(n)
+        ref_i, ref_j = np.triu_indices(n, k=1)
+        assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+        assert not (i.flags.writeable or j.flags.writeable)
+        assert triu_pairs(n) is triu_pairs(n)
+    assert triu_pairs.cache_info().maxsize == 16
+
+
+def test_decide_builds_the_constraint_matrix_once_per_direction(monkeypatch):
+    builds = count_calls(monkeypatch, "constraint_matrix", entdis.certify)
+    s = theorem2_set(Theorem2Spec(7))
+    assert decide(s).one_way_indistinguishable is True
+    assert len(builds) == 2
+    # nothing is kept on the set: deciding it again builds both matrices again
+    decide(s)
+    assert len(builds) == 4
+
+
+def test_decide_builds_the_label_table_once_per_direction(monkeypatch):
+    # the prover looks the table up through entdis.search, the verifier through entdis.certify
+    builds = count_calls(monkeypatch, "constraints_from_set", entdis.search, entdis.certify)
+    matrices = count_calls(monkeypatch, "constraint_matrix", entdis.certify)
+    assert decide(theorem1_set(9)).one_way_indistinguishable is True
+    assert len(builds) == 2 and matrices == []
+
+
+def test_certify_and_verify_commands_build_once(monkeypatch, tmp_path):
+    set_file, certs_file, cert_file = tmp_path / "t2.json", tmp_path / "certs.json", tmp_path / "cert.json"
+    assert cli_main(["gen", "theorem2", "--d", "7", "--output", str(set_file)]) == 0
+    builds = count_calls(monkeypatch, "constraint_matrix", entdis.certify)
+    assert cli_main(["certify", str(set_file), "--output", str(certs_file)]) == 0
+    assert len(builds) == 2
+    cert = json.loads(certs_file.read_text())["directions"]["A_to_B"]["certificate"]
+    cert_file.write_text(json.dumps(cert))
+    # the standalone verifier builds its own matrix from the set file
+    assert cli_main(["verify", str(cert_file), str(set_file)]) == 0
+    assert len(builds) == 3
+
+
+def test_verify_without_constraints_builds_its_own(monkeypatch):
+    t2, t1 = theorem2_set(Theorem2Spec(7)), theorem1_set(9)
+    block, cover = certify_direction(t2), certify_direction(t1)
+    matrices = count_calls(monkeypatch, "constraint_matrix", entdis.certify)
+    tables = count_calls(monkeypatch, "constraints_from_set", entdis.search, entdis.certify)
+    assert verify_certificate(block, t2) and len(matrices) == 1
+    assert verify_certificate(cover, t1) and len(tables) == 1
+
+
+def certified_corpus():
+    for d in [*range(7, 26, 2), 61]:
+        yield theorem2_set(Theorem2Spec(d))
+    for d in [*range(4, 21), 64]:
+        yield theorem1_set(d)
+
+
+def built_constraints(cert, s):
+    """The array certify_direction hands the verifier for this certificate's kind."""
+    if isinstance(cert, CoverCertificate):
+        return constraints_from_set(s.tag, s.d)
+    return constraint_matrix(s)
+
+
+def test_shared_constraints_give_the_verifiers_own_answer_on_the_certified_corpus():
+    for s in certified_corpus():
+        for direction in (s, transpose_set(s)):
+            cert = certify_direction(direction)
+            assert cert is not None, (s.d, len(s))
+            A = built_constraints(cert, direction)
+            shared = verify_certificate_detailed(cert, direction, constraints=A)
+            assert shared == verify_certificate_detailed(cert, direction) == (True, "ok")
+
+
+def test_shared_constraints_still_fail_every_tampered_certificate():
+    t2 = theorem2_set(Theorem2Spec(7))
+    block = certify_direction(t2)
+    r = block.forced_functional_residuals
+    t1 = theorem1_set(4)
+    cover = certify_direction(t1)
+    diagonal = bell_set(4, [(m, 0) for m in range(4)])  # shift 0 is full, no other shift occurs
+    unforced = bell_set(5, [(0, 0), (1, 2)])
+    true = tuple(_membership_residuals(constraint_matrix(unforced), 5, (0, 1)))
+    cases = (
+        (dataclasses.replace(block, forced_functional_residuals=(r[0] + 1e-3,) + r[1:]), t2, "stored residual"),
+        (dataclasses.replace(block, unitaries_sha256=unitaries_hash(transpose_set(t2))), t2, "unitaries hash mismatch"),
+        (BlockCertificate(5, (0, 1), true, 1.0, unitaries_hash(unforced)), unforced, "tolerance 1.000e+00 is above"),
+        (BlockCertificate(5, (0, 1), true, BLOCK_TOL, unitaries_hash(unforced)), unforced, "recomputes to residual"),
+        (dataclasses.replace(cover, indices=((0, 0), (1, 0))), t1, "certificate indices do not match the set"),
+        (cover_certificate(diagonal, {1, 2, 3}, 1, ()), diagonal, "shift 1 does not carry every frequency"),
+    )
+    for cert, s, reason in cases:
+        ok, got = verify_certificate_detailed(cert, s, constraints=built_constraints(cert, s))
+        assert not ok and reason in got, (reason, got)
+        assert (ok, got) == verify_certificate_detailed(cert, s)
+        assert not verify_certificate(cert, s, constraints=built_constraints(cert, s))
+
+
+def test_verifier_reads_the_constraints_it_is_handed():
+    # a zero matrix forces nothing and an empty table covers nothing, so the
+    # checks run on the handed array, not on one rebuilt from the set
+    t2, t1 = theorem2_set(Theorem2Spec(7)), theorem1_set(9)
+    ok, reason = verify_certificate_detailed(certify_direction(t2), t2, constraints=np.zeros((12, 49)))
+    assert not ok and "recomputes to residual" in reason
+    ok, reason = verify_certificate_detailed(certify_direction(t1), t1, constraints=np.zeros((9, 9), dtype=bool))
+    assert not ok and reason == "stored shift-0 frequencies disagree with recomputation"
+
+
+def test_constraints_of_the_wrong_kind_or_shape_are_refused():
+    t2, t1 = theorem2_set(Theorem2Spec(7)), theorem1_set(9)
+    block, cover = certify_direction(t2), certify_direction(t1)
+    cases = (
+        (block, t2, constraints_from_set([(0, 0), (1, 0)], 7), "forced_block certificate reads a float64"),
+        (cover, t1, constraint_matrix(t1), "fourier_cover certificate reads a bool"),
+        (block, t2, constraint_matrix(t2)[:-2], r"got float64 \(10, 49\)"),
+        (block, t2, constraint_matrix(t2).astype(np.float32), "got float32"),
+    )
+    for cert, s, constraints, match in cases:
+        for verify in (verify_certificate, verify_certificate_detailed):
+            with pytest.raises(ValueError, match=match):
+                verify(cert, s, constraints=constraints)
