@@ -12,9 +12,9 @@ so one stacked product G a gives the residuals, the Jacobian and the
 gradient (entdis._kernels).  A tagged set's terms depend only on the label
 differences t_j - t_i, and t and -t give the same term, so its sum runs
 over one weighted Pauli per class {t, -t} (theorem1 d=20: 30 operators for
-66 pairs), scattered from the labels; the POVM checks, the answer table and
-the provers keep reading the members.  The damped normal system is solved
-by Cholesky; an accepted trial carries its kernel results into the next
+66 pairs), scattered from the labels; the numeric POVM checks, the answer
+table and the provers keep reading the members.  The damped normal system is
+solved by Cholesky; an accepted trial carries its kernel results into the next
 iteration, and a restart that only crawls on below 1e-20 ends there.  Each
 block of d consecutive restarts starts from the rows of one random
 orthonormal basis (one QR), so the starts pooled for NNLS completion
@@ -28,16 +28,20 @@ Decision: certify_direction runs the exact provers of entdis.certify (the
 forced-block residuals come from a projection onto the row space of the
 constraint matrix) on every set but a pair, where neither can fire;
 run_protocol runs search, POVM completion and the protocol simulation on
-whole arrays: the d-element stabilizer basis of a Lagrangian that avoids a
-tagged set's label differences, or else the Pauli orbit of its witness from
-label arithmetic, or NNLS over an untagged set's pooled witnesses (_nnls);
-one stack of the receiver's states U_i conj(phi_k), read by the
-orthogonality gate and by one answer table whose exact success probability
-fixes a single binomial draw of the success count.  Their products are
-einsum calls, not @: a complex @ this size wakes a spinning BLAS helper
-thread.  decide_direction chains the two.  scipy is imported only for
-LAPACK dposv, by the first damped solve, so a certified direction runs on
-numpy alone.
+whole arrays.  Completion takes the d-element stabilizer basis of a
+Lagrangian L that avoids a tagged set's label differences, or else the
+Pauli orbit of its witness from label arithmetic, or NNLS over an untagged
+set's pooled witnesses (_nnls).  A label basis is gated and simulated by
+label arithmetic (_label_tie: L misses the differences and its generators
+fix every stored vector up to phase), so the receiver's states are
+orthogonal by label_povm's argument and the success probability is exactly
+1.  Every other POVM is checked on one stack of the receiver's states
+U_i conj(phi_k), read by the orthogonality gate and by one answer table.
+Either way the exact success probability fixes a single binomial draw of
+the success count.  Those products are einsum calls, not @: a complex @
+this size wakes a spinning BLAS helper thread.  decide_direction chains
+the two.  scipy is imported only for LAPACK dposv, by the first damped
+solve, so a certified direction runs on numpy alone.
 
 Conventions: the stored witness alpha lives on the receiving (Bob) side;
 the measuring party's POVM vectors are the conjugates phi = conj(alpha),
@@ -47,7 +51,7 @@ U|conj(phi)> up to normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -135,11 +139,14 @@ class Povm:
     """Rank-one elements m_k |phi_k><phi_k| on the measuring side.
 
     weights is the (K,) array of m_k, vectors the (K, d) array whose row k
-    is the unit vector phi_k.
+    is the unit vector phi_k.  lagrangian is the (a, b, c) of
+    gpauli.lagrangians whose stabilizer basis label_povm stored, else None;
+    the gate and the simulation trust it only through _label_tie's checks.
     """
 
     weights: np.ndarray
     vectors: np.ndarray
+    lagrangian: tuple[int, int, int] | None = None
 
     def __len__(self):
         return len(self.weights)
@@ -347,26 +354,80 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
     return Povm(np.full(len(reps), len(stab) / d), V[reps])
 
 
+@lru_cache(maxsize=256)
+def _lagrangian_gathers(d: int, lagrangian) -> tuple | None:
+    """Read-only (labels, rows, vals) of a Lagrangian L = (a, b, c) of gpauli.lagrangians(d), else None.
+
+    labels are the flat labels n*d + m of L's d elements (k a, k b + l c),
+    k < c, l < a, in the order of difference_table's flat view; rows and
+    vals are the weyl_columns of U_00 and of L's generators (a, b), (0, c).
+    """
+    if lagrangian not in lagrangians(d):
+        return None
+    a, b, c = lagrangian
+    k, l = np.divmod(np.arange(d), a)
+    gathers = ((k * b + l * c) % d * d + k * a, *weyl_columns(d, [(0, 0), (a, b), (0, c)]))
+    for x in gathers:
+        x.flags.writeable = False
+    return gathers
+
+
 def label_povm(d: int, tag) -> Povm | None:
     """Stabilizer basis of the first Lagrangian L that avoids the label differences, or None.
 
-    D = {t_j - t_i : i != j} is read off gpauli.difference_table.  If L and D
-    share no element, the d common eigenvectors phi_k of {U_t : t in L} all
-    witness the set: for s not in L some t in L has <s, t> != 0 (L is its own
-    symplectic complement), and conjugating by U_t multiplies
-    <phi_k|U_s|phi_k> by a nontrivial root of unity, so the value is 0.
-    They come from eigh of a Hermitian combination of L's generators with
-    non-real coefficients (with real ones, a cyclic L gives degenerate pairs
-    of 2cos eigenvalues); the elements are their Alice-side conjugates, with
-    weight 1 each.
+    D = {t_j - t_i : i != j} is read off gpauli.difference_table at L's
+    elements.  If L and D share no element, the d common eigenvectors phi_k
+    of {U_t : t in L} all witness the set: for s not in L some t in L has
+    <s, t> != 0 (L is its own symplectic complement), and conjugating by U_t
+    multiplies <phi_k|U_s|phi_k> by a nontrivial root of unity, so the value
+    is 0.  They come from eigh of a Hermitian combination of L's generators
+    with non-real coefficients (with real ones, a cyclic L gives degenerate
+    pairs of 2cos eigenvalues); the elements are their Alice-side
+    conjugates, with weight 1 each, and the POVM records L as (a, b, c) for
+    _label_tie.
     """
-    n, m = np.nonzero(gpauli.difference_table(d, tag))
-    for a, b, c in lagrangians(d):
-        if not np.any((m % a == 0) & ((n - m // a * b) % c == 0)):
+    table = gpauli.difference_table(d, tag).reshape(-1)
+    for L in lagrangians(d):
+        if not table[_lagrangian_gathers(d, L)[0]].any():
+            a, b, c = L
             g1, g2 = weyl_stack(d, [(a % d, b), (0, c % d)])
             h = np.exp(0.21j) * g1 + np.sqrt(2) * np.exp(0.37j) * g2
-            return Povm(np.ones(d), np.conj(np.linalg.eigh(h + np.conj(h.T))[1].T))
+            return Povm(np.ones(d), np.conj(np.linalg.eigh(h + np.conj(h.T))[1].T), L)
     return None
+
+
+def _stabilized(povm: Povm, d: int) -> bool:
+    """Vector part of the label tie: L's generators g fix every b_k = conj(phi_k) up to phase.
+
+    |<b_k|U_g b_k>| > (1 - _MERGE_TOL) <b_k|b_k>, the overlaps
+    sum_j conj(b_k[rows[g, j]]) vals[g, j] b_k[j] (U_00 gives the norm) in
+    one batched matrix-vector product, O(K d), too thin to wake a BLAS
+    helper thread.  By Cauchy-Schwarz only a vector within rounding of an
+    eigenvector of each U_g passes, and L's common eigenspaces are lines,
+    so each b_k is one of L's stabilizer states.  povm.lagrangian must be a
+    Lagrangian of Z_d^2.
+    """
+    _, rows, vals = _lagrangian_gathers(d, povm.lagrangian)
+    X = povm.vectors[:, rows] * vals  # X[k, g, j] = conj(b_k[rows[g, j]]) vals[g, j]
+    ov = np.abs(np.matmul(X, np.conj(povm.vectors)[:, :, None])[..., 0])
+    return bool(np.all(ov[:, 1:] > (1.0 - _MERGE_TOL) * ov[:, :1]))
+
+
+def _label_tie(s: UnitarySet, povm: Povm) -> bool:
+    """True when povm is an exact label protocol for s: its success probability is 1.
+
+    Integer part: povm.lagrangian is a Lagrangian L of Z_d^2 that misses s's
+    label differences (difference_table at L's elements; an untagged s never
+    ties).  Vector part: _stabilized.  Each b_k is then a common eigenvector
+    of {U_t : t in L}, so by label_povm's argument the receiver's states
+    U_i b_k of every outcome are pairwise orthogonal.
+    """
+    if povm.lagrangian is None or s.tag is None:
+        return False
+    gathers = _lagrangian_gathers(s.d, povm.lagrangian)
+    if gathers is None or gpauli.difference_table(s.d, s.tag).reshape(-1)[gathers[0]].any():
+        return False
+    return _stabilized(povm, s.d)
 
 
 def povm_identity_residual(p: Povm, d: int) -> float:
@@ -441,13 +502,21 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
     overlap einsum; rounding keeps twin columns apart, so NNLS could pick
     either), and nonnegative least squares (_nnls) looks for weights
     resolving the identity; one that stops at its iteration cap gives None.
+
+    Every POVM must resolve the identity.  A label basis passes the
+    orthogonality gate on _stabilized (label_povm has just checked its L
+    against these differences); any other POVM, or a label basis that fails
+    it, needs povm_orthogonality_residual below ELEMENT_ORTHO_TOL.
     """
     if not w.residual < success_tol:  # a NaN residual fails too
         raise ValueError(
             f"witness residual {w.residual:.3e} is not below success tolerance {success_tol:.1e}"
         )
+    exact = False
     if s.tag is not None:
-        povm = label_povm(s.d, s.tag) or orbit_povm(s.d, w.alpha)
+        povm = label_povm(s.d, s.tag)
+        exact = povm is not None and _stabilized(povm, s.d)  # label_povm has just checked L against s.tag
+        povm = povm or orbit_povm(s.d, w.alpha)
     else:
         pool = np.array([w.alpha] + [alpha for res, alpha in extra_witnesses if res < success_tol])
         twins = np.abs(np.einsum("id,jd->ij", np.conj(pool), pool)) > 1.0 - _MERGE_TOL
@@ -462,7 +531,7 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
         povm = Povm(weights[keep], phis[keep])
     if not povm_identity_residual(povm, s.d) < IDENTITY_TOL:
         return None
-    if not povm_orthogonality_residual(povm, s) < ELEMENT_ORTHO_TOL:
+    if not (exact or povm_orthogonality_residual(povm, s) < ELEMENT_ORTHO_TOL):
         return None
     return povm
 
@@ -498,7 +567,9 @@ def _answer_table(s: UnitarySet, povm: Povm):
 
 
 def _success_probability(s: UnitarySet, povm: Povm) -> float:
-    """Per-trial success probability p of the protocol, clipped to [0, 1]."""
+    """Per-trial success probability p, clipped to [0, 1]: 1 on a _label_tie, else from _answer_table."""
+    if _label_tie(s, povm):
+        return 1.0
     conf, leftover = _answer_table(s, povm)
     k_cum = np.cumsum(povm.weights / s.d)
     k_cum[-1] = 1.0
@@ -520,10 +591,12 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
 
     One trial succeeds with probability
     p = sum_k P(k) (1/n) sum_i (conf[k,i,i] + conf[k,i,n] [leftover[k] = i])
-    from the answer table, and trials are independent, so the success count
-    is Binomial(trials, p): one binomial draw has the law of drawing every
-    trial's state, outcome and answer.  Cost and memory do not grow with
-    trials, and p = 1 reports exactly 1.0.
+    from the answer table, or p = 1 exactly, with no table, for a label
+    basis tied to s (_label_tie), and trials are independent, so the success
+    count is Binomial(trials, p): one binomial draw has the law of drawing
+    every trial's state, outcome and answer.  Cost and memory do not grow
+    with trials, and p = 1 reports exactly 1.0.  The input checks (positive
+    weights, unit vectors, the identity residual) run for every POVM.
     """
     if not (gpauli.is_integer(trials) and 1 <= trials <= MAX_TRIALS):
         raise ValueError(f"trials must be an integer between 1 and {MAX_TRIALS}, got {trials!r}")

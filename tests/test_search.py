@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from entdis import _kernels as K
 from entdis import certify, search
-from entdis.gpauli import all_indices, phase_table, to_matrix, transpose_index
+from entdis.gpauli import all_indices, lagrangians, phase_table, to_matrix, transpose_index
 from entdis.search import (
     _MERGE_TOL,
     Decision,
@@ -985,6 +986,16 @@ def test_label_povm_is_a_gated_basis_for_a_set_exactly_when_for_its_transpose():
     assert found > 100
 
 
+@pytest.mark.parametrize("d", [2, 4, 6, 9, 12])
+def test_lagrangian_gathers_list_each_lagrangian_by_its_membership_rule(d):
+    m, n = np.divmod(np.arange(d * d), d)
+    for a, b, c in lagrangians(d):
+        members = np.flatnonzero((m % a == 0) & ((n - m // a * b) % c == 0))  # flat m*d + n
+        labels = search._lagrangian_gathers(d, (a, b, c))[0]  # flat n*d + m
+        assert sorted(labels % d * d + labels // d) == members.tolist(), (a, b, c)
+    assert search._lagrangian_gathers(d, (1, 0, 1)) is None
+
+
 def test_label_povm_decides_a_set_the_orbit_misses():
     # a near-stabilizer witness sinks the orbit's identity residual on this set
     dec = decide(bell_set(7, [(3, 4), (1, 5), (0, 0), (2, 4)]))
@@ -999,6 +1010,95 @@ def test_label_protocol_is_exactly_perfect_at_the_largest_trial_count(d, tag):
     assert len(p) == d
     assert _success_probability(s, p) == 1.0
     assert simulate_protocol(s, p, 2**63 - 1, seed=0) == 1.0
+
+
+# sets that complete with a Lagrangian's label basis in both directions
+LABEL_PROTOCOL = [
+    (20, [(0, 0), (1, 1)]),
+    (4, [(0, 0), (0, 2)]),
+    (3, [(0, 0), (1, 0), (0, 1)]),
+    (7, [(3, 4), (1, 5), (0, 0), (2, 4)]),
+]
+RECEIVER_NUMERICS = ("_receiver_states", "povm_orthogonality_residual", "_answer_table")
+
+
+@pytest.mark.parametrize("d, tag", LABEL_PROTOCOL)
+def test_label_protocols_are_gated_and_simulated_by_label_arithmetic(monkeypatch, d, tag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a label protocol reached the receiver-state numerics")
+
+    for name in RECEIVER_NUMERICS:
+        monkeypatch.setattr(search, name, refuse)
+    dec = decide(bell_set(d, tag))
+    for v in (dec.a_to_b, dec.b_to_a):
+        assert (v.kind, v.povm_size, v.simulated_success) == ("distinguishable", d, 1.0)
+
+
+@pytest.mark.parametrize("d, tag, size", ORBIT_ONLY)
+def test_orbit_protocols_keep_the_receiver_state_numerics(monkeypatch, d, tag, size):
+    calls = []
+    for name in RECEIVER_NUMERICS:
+        real = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    dec = decide(bell_set(d, tag))
+    for v in (dec.a_to_b, dec.b_to_a):
+        assert (v.kind, v.povm_size, v.simulated_success) == ("distinguishable", size, 1.0)
+    assert set(calls) == set(RECEIVER_NUMERICS)
+
+
+def test_exact_label_success_agrees_with_the_answer_table():
+    rng = np.random.default_rng(53)
+    found = 0
+    for _ in range(150):
+        d = int(rng.integers(2, 13))
+        k = rng.choice(d * d, size=int(rng.integers(2, min(d * d, 6) + 1)), replace=False)
+        s = bell_set(d, [divmod(int(x), d) for x in k])
+        for u in (s, transpose_set(s)):
+            p = label_povm(d, u.tag)
+            if p is None:
+                continue
+            found += 1
+            assert search._label_tie(u, p), (d, u.tag)
+            assert _success_probability(u, p) == 1.0
+            # the same elements without their Lagrangian go through the numeric gate and the answer table
+            assert _success_probability(u, replace(p, lagrangian=None)) >= 1 - 1e-12, (d, u.tag)
+            assert povm_orthogonality_residual(p, u) < ELEMENT_ORTHO_TOL
+    assert found > 200
+
+
+def test_a_forged_label_basis_gets_the_numeric_gate_and_table(monkeypatch):
+    s = bell_set(20, [(0, 0), (1, 1)])
+    p = label_povm(s.d, s.tag)
+    # mix b_0 with the basis vector b_j that U_(1,1) b_0 is a multiple of, by real coefficients: still an
+    # orthonormal basis that names L, but |<b|U_(1,1) b>| = 1/2 on both mixed elements
+    B = np.conj(p.vectors)
+    j = int(np.argmax(np.abs(np.conj(B) @ (to_matrix(s.d, (1, 1)) @ B[0]))))
+    V = p.vectors.copy()
+    V[0], V[j] = (p.vectors[0] + p.vectors[j]) / np.sqrt(2), (p.vectors[0] - p.vectors[j]) / np.sqrt(2)
+    forged = Povm(p.weights, V, p.lagrangian)
+    assert povm_identity_residual(forged, s.d) < IDENTITY_TOL
+    assert povm_orthogonality_residual(forged, s) > 0.4
+    assert not search._label_tie(s, forged)
+    p = _success_probability(s, forged)
+    assert p == _success_probability(s, replace(forged, lagrangian=None)) < 1.0
+    monkeypatch.setattr(search, "label_povm", lambda d, tag: forged)
+    assert povm_completion(s, witness_search(s)) is None
+
+
+def test_a_label_basis_on_another_set_gets_the_numeric_table(monkeypatch):
+    s = bell_set(20, [(0, 0), (1, 1)])
+    p = label_povm(s.d, s.tag)
+    tables = []
+    real = search._answer_table
+    monkeypatch.setattr(search, "_answer_table", lambda *a: tables.append(a) or real(*a))
+    # the differences +-(1, 0) of this pair lie in L = {(m, 0)}, so U_(1,0) b_k is a multiple of b_k: a coin flip
+    assert p.lagrangian == (1, 0, 20)
+    assert abs(_success_probability(bell_set(20, [(0, 0), (1, 0)]), p) - 0.5) < 1e-12
+    untagged = UnitarySet(s.d, s.members)
+    assert _success_probability(untagged, p) >= 1 - 1e-12
+    assert len(tables) == 2
+    # a triple that is no Lagrangian of Z_20^2 never ties
+    assert not search._label_tie(s, replace(p, lagrangian=(1, 0, 10)))
 
 
 def test_harvest_grows_only_for_untagged_sets_when_completion_fails(monkeypatch):
