@@ -151,9 +151,8 @@ def pair_operators(s: UnitarySet) -> np.ndarray:
     """Stacked W_p = U_i^dag U_j over pairs i < j in np.triu_indices order, in blocks of < 2^16 / d^2 rows."""
     if len(s) < 2:
         raise ValueError("distinguishability needs at least two states")
-    U = np.array(s.members)
     i, j = triu_pairs(len(s))
-    left, right = np.conj(np.swapaxes(U, 1, 2))[i], U[j]
+    left, right = np.conj(np.swapaxes(s.members, 1, 2))[i], s.members[j]
     W, step = np.empty_like(right), max(1, _PAIR_BLOCK_ELEMENTS // s.d**2)
     for r in range(0, s.d, step):
         np.matmul(left[:, r : r + step], right, out=W[:, r : r + step])
@@ -292,8 +291,9 @@ class BlockCertificate:
 def unitaries_hash(s: UnitarySet) -> str:
     """SHA-256 of the ASCII header "d N\n", then the members as little-endian
     complex128 in row-major order."""
-    header = f"{s.d} {len(s)}\n".encode("ascii")
-    return hashlib.sha256(header + np.asarray(s.members, dtype="<c16").tobytes()).hexdigest()
+    h = hashlib.sha256(f"{s.d} {len(s)}\n".encode("ascii"))
+    h.update(np.ascontiguousarray(s.members, dtype="<c16"))  # the stack's own buffer on little-endian hosts
+    return h.hexdigest()
 
 
 def _membership_residuals(A: np.ndarray, d: int, rows) -> list:

@@ -2,9 +2,10 @@
 
 Commands: gen, decide, certify, search, simulate, sweep, verify.
 Exit codes: 0 = computed (any verdict, including unknown/inconclusive),
-1 = verification returned false, 2 = input error.  Reports are written with
-canonical JSON (or CSV for sweep) so identical invocations produce
-byte-identical output; human-readable summaries go to stderr.
+1 = verification returned false, 2 = input error (an input too large for
+memory included).  Reports are written with canonical JSON (or CSV for
+sweep) so identical invocations produce byte-identical output;
+human-readable summaries go to stderr.
 decide, certify, simulate and sweep share the pipeline stages of
 entdis.search (certify_direction and run_protocol).  Option defaults are
 the library's (OptimizerConfig, SIMULATION_TRIALS, Theorem2Spec); each
@@ -283,7 +284,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ written: ``weyl_stack`` scatters them into a stack of matrices and
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,9 +63,12 @@ def omega(d: int) -> complex:
     return complex(np.exp(2j * np.pi / d))
 
 
+@lru_cache(maxsize=64)
 def phase_table(d: int) -> np.ndarray:
-    """All powers w^0 .. w^{d-1}, evaluated once for accuracy."""
-    return np.exp(2j * np.pi * np.arange(d) / d)
+    """All powers w^0 .. w^{d-1}, evaluated once for accuracy, as a read-only array cached per d."""
+    w = np.exp(2j * np.pi * np.arange(d) / d)
+    w.flags.writeable = False
+    return w
 
 
 def weyl_columns(d: int, labels, phase=0):

@@ -148,6 +148,13 @@ class Povm:
     vectors: np.ndarray
     lagrangian: tuple[int, int, int] | None = None
 
+    def __post_init__(self):
+        if self.lagrangian is not None:
+            L = tuple(self.lagrangian) if isinstance(self.lagrangian, (tuple, list)) else ()
+            if len(L) != 3 or not all(map(gpauli.is_integer, L)):
+                raise ValueError(f"lagrangian must be None or three integers (a, b, c), got {self.lagrangian!r}")
+            object.__setattr__(self, "lagrangian", tuple(map(int, L)))
+
     def __len__(self):
         return len(self.weights)
 
@@ -439,7 +446,7 @@ def povm_identity_residual(p: Povm, d: int) -> float:
 
 def _receiver_states(s: UnitarySet, p: Povm) -> np.ndarray:
     """(K, N, d) stack of U_i b_k, b_k = conj(phi_k): the receiver's state after outcome k if i was sent."""
-    return np.einsum("ide,ke->kid", np.array(s.members), np.conj(p.vectors))
+    return np.einsum("ide,ke->kid", s.members, np.conj(p.vectors))
 
 
 def povm_orthogonality_residual(p: Povm, s: UnitarySet) -> float:
@@ -595,13 +602,16 @@ def simulate_protocol(s: UnitarySet, povm: Povm, trials: int = SIMULATION_TRIALS
     basis tied to s (_label_tie), and trials are independent, so the success
     count is Binomial(trials, p): one binomial draw has the law of drawing
     every trial's state, outcome and answer.  Cost and memory do not grow
-    with trials, and p = 1 reports exactly 1.0.  The input checks (positive
-    weights, unit vectors, the identity residual) run for every POVM.
+    with trials, and p = 1 reports exactly 1.0.  The input checks (vector
+    length, positive weights, unit vectors, the identity residual) run for
+    every POVM.
     """
     if not (gpauli.is_integer(trials) and 1 <= trials <= MAX_TRIALS):
         raise ValueError(f"trials must be an integer between 1 and {MAX_TRIALS}, got {trials!r}")
     if not (gpauli.is_integer(seed) and seed >= 0):  # bools are not seeds; numpy's own errors name no argument
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    if np.ndim(povm.vectors) != 2 or np.shape(povm.vectors)[1] != s.d:
+        raise ValueError(f"POVM vectors must have the set's length {s.d}, got shape {np.shape(povm.vectors)}")
     if povm.weights.size == 0 or not np.all(povm.weights > 0):
         raise ValueError("POVM weights must be positive")
     bad = np.flatnonzero(~(np.abs(np.linalg.norm(povm.vectors, axis=1) - 1.0) <= 1e-10))

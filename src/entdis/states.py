@@ -31,9 +31,9 @@ DEFAULT_GAMMA = complex(np.exp(1j * np.pi / 4))
 class UnitarySet:
     """An ordered set of d x d defining unitaries, optionally Pauli-tagged.
 
-    members are read-only views into one (N, d, d) complex array.  Validation
-    rejects non-finite entries and names the lowest-index member that is not
-    unitary, then the first pair (i, j), i < j, with Tr(U_i^dag U_j) != 0.
+    members is one read-only complex128 (N, d, d) stack copied from the input.
+    Validation rejects non-finite entries and names the first non-unitary
+    member, then the first pair (i, j), i < j, with Tr(U_i^dag U_j) != 0.
     tag, when present, lists the (m, n) label of each member k, a unit
     multiple of U_{tag[k]}.  Only bell_set, which builds the members from the
     labels, and transpose_set set it: a set built from members is untagged.
@@ -42,7 +42,7 @@ class UnitarySet:
     """
 
     d: int
-    members: tuple
+    members: np.ndarray
     tag: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -73,13 +73,14 @@ class UnitarySet:
                 "the defined states are not mutually orthogonal"
             )
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "members", tuple(M))
+        object.__setattr__(self, "members", M)
 
     @classmethod
     def _from_valid(cls, d, M, tag):
-        """A set from a read-only (N, d, d) stack known to pass the checks above, and its tag."""
+        """A set from its tag and a fresh complex128 (N, d, d) stack, made read-only, that passes the checks above."""
+        M.setflags(write=False)
         s = object.__new__(cls)
-        s.__dict__.update(d=d, members=tuple(M), tag=tag)
+        s.__dict__.update(d=d, members=M, tag=tag)
         return s
 
     def __len__(self):
@@ -95,9 +96,7 @@ def bell_set(d, indices) -> UnitarySet:
         raise ValueError("a unitary set needs at least one member")
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate Pauli indices in {idx}")
-    M = weyl_stack(d, idx)
-    M.setflags(write=False)
-    return UnitarySet._from_valid(d, M, tuple(idx))
+    return UnitarySet._from_valid(d, weyl_stack(d, idx), tuple(idx))
 
 
 def theorem1_indices(d) -> tuple:
@@ -228,12 +227,10 @@ def transpose_set(s: UnitarySet) -> UnitarySet:
     preserves each of them: U^T is unitary when U is, Tr(conj(U_i) U_j^T) =
     Tr(U_i^dag U_j), and (c U_mn)^T = c w^{-mn} U_{m, -n} fits the mapped tag.
     """
-    M = np.array([U.T for U in s.members])
-    M.setflags(write=False)
     tag = None
     if s.tag is not None:
         tag = tuple(transpose_index(s.d, p).index for p in s.tag)
-    return UnitarySet._from_valid(s.d, M, tag)
+    return UnitarySet._from_valid(s.d, np.swapaxes(s.members, 1, 2).copy(), tag)
 
 
 def entangled_vector(U: np.ndarray) -> np.ndarray:

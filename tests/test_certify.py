@@ -520,6 +520,15 @@ def test_unitaries_hash_is_sha256_of_member_bytes():
     assert len(set(digests)) == 4
 
 
+def test_unitaries_hash_keeps_its_digests():
+    # certificates already issued carry these digests: how the members are stored must not move the hashed bytes
+    s = theorem2_set(Theorem2Spec(7))
+    assert unitaries_hash(s) == "757d5bce925d557e0c7d61bc443883688e91547f3c4dc282b4607290f2bc01c5"
+    assert unitaries_hash(transpose_set(s)) == "67490a49b127493a7a71226cdc7d985424b5eaf513d158c1724ca6ac74762b82"
+    untagged = UnitarySet(4, bell_set(4, [(0, 0), (1, 0), (0, 1)]).members)
+    assert unitaries_hash(untagged) == "2214e6ae761268d2f708ad116154a31e41c79bd722418c34510a4f30e235e5a7"
+
+
 def test_feasible_subspace_needs_two():
     with pytest.raises(ValueError):
         hermitian_feasible_subspace(UnitarySet(2, (I2,)))

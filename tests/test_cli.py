@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import entdis.cli
 import entdis.search
 from entdis.cli import build_parser, _config, main
 from entdis.search import SIMULATION_TRIALS, OptimizerConfig
@@ -395,6 +396,18 @@ def test_simulate_rejects_trials_past_int64(tmp_path, monkeypatch, capsys):
     assert run(["simulate", sf, "--trials", 2**63, "--output", rf]) == 2
     assert "--trials" in capsys.readouterr().err
     assert not rf.exists()
+
+
+def test_out_of_memory_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # exit 1 means a verification returned false; a set too large for memory is refused with 2
+    def out_of_memory(args):
+        raise MemoryError("Unable to allocate 14.6 EiB for an array with shape (1000000000, 1000000000)")
+
+    monkeypatch.setattr(entdis.cli, "_cmd_decide", out_of_memory)
+    sf = tmp_path / "set.json"
+    sf.write_text(json.dumps({"d": 4, "type": "theorem1"}))
+    assert run(["decide", sf]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 14.6 EiB for an array with shape (1000000000, 1000000000)\n"
 
 
 def test_sweep_rows_and_formats(tmp_path):

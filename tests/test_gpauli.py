@@ -18,6 +18,7 @@ from entdis.gpauli import (
     difference_table,
     lagrangians,
     omega,
+    phase_table,
     to_matrix,
     transpose_index,
     weyl_columns,
@@ -194,6 +195,15 @@ def test_twirl_identity(d):
         U = to_matrix(d, p)
         acc += U @ rho @ U.conj().T
     assert np.max(np.abs(acc - d * np.trace(rho) * np.eye(d))) < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 7, 20, 61])
+def test_phase_table_is_one_read_only_table_per_dimension(d):
+    w = phase_table(d)
+    assert w is phase_table(d) and not w.flags.writeable
+    assert np.array_equal(w, np.exp(2j * np.pi * np.arange(d) / d))  # the one expression every Weyl entry reads
+    with pytest.raises(ValueError):
+        w[0] = 0
 
 
 def test_dimension_validation():

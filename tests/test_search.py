@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -528,6 +529,30 @@ def test_simulate_validates_input():
         simulate_protocol(s, nonunit, 100, seed=0)
     with pytest.raises(ValueError):
         witness_search(UnitarySet(2, (np.eye(2, dtype=complex),)))
+
+
+def test_povm_stores_a_listed_lagrangian_as_a_tuple():
+    s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
+    p = label_povm(s.d, s.tag)
+    listed = Povm(p.weights, p.vectors, list(p.lagrangian))
+    assert listed.lagrangian == p.lagrangian and type(listed.lagrangian) is tuple
+    assert simulate_protocol(s, listed, 100, seed=0) == 1.0
+
+
+def test_povm_refuses_a_lagrangian_that_is_not_three_integers():
+    p = label_povm(3, bell_set(3, [(0, 0), (1, 0), (0, 1)]).tag)
+    search._lagrangian_gathers.cache_clear()
+    for bad in ((1.0, 1, 3), (True, 1, 3), (1, 1), (1, 1, 3, 0), "113", 3, {1: 1}):
+        with pytest.raises(ValueError, match="lagrangian must be None or three integers"):
+            Povm(p.weights, p.vectors, bad)
+
+
+def test_simulate_refuses_vectors_of_another_length():
+    s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
+    for vectors in (np.eye(2, dtype=complex), np.eye(4, dtype=complex)[:3], np.ones(3, dtype=complex)):
+        povm = Povm(np.ones(len(vectors)), vectors)
+        with pytest.raises(ValueError, match=re.escape(f"must have the set's length 3, got shape {np.shape(vectors)}")):
+            simulate_protocol(s, povm, 100, seed=0)
 
 
 def test_simulate_refuses_a_bad_seed():

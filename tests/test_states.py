@@ -409,6 +409,46 @@ def test_set_dict_round_trips():
         assert np.max(np.abs(U - V)) < 1e-15
 
 
+def _stack_constructors():
+    pair = bell_set(4, [(0, 0), (1, 0), (0, 1)])
+    arr = np.array(pair.members)
+    yield "tuple", UnitarySet(4, tuple(arr))
+    yield "list", UnitarySet(4, list(arr))
+    yield "ndarray", UnitarySet(4, arr)
+    yield "bell_set", pair
+    yield "theorem1_set", theorem1_set(9)
+    yield "theorem2_set", theorem2_set(Theorem2Spec(7))
+    yield "transpose_set tagged", transpose_set(pair)
+    yield "transpose_set untagged", transpose_set(theorem2_set(Theorem2Spec(7)))
+    for doc in (
+        {"d": 4, "type": "generalized_bell", "indices": [[0, 0], [1, 2]]},
+        {"d": 5, "type": "theorem1"},
+        {"d": 7, "type": "theorem2"},
+        set_to_dict(theorem2_set(Theorem2Spec(9))),
+    ):
+        yield "set_from_dict " + doc["type"], set_from_dict(doc)
+
+
+def test_every_constructor_stores_one_read_only_stack():
+    seen = set()
+    for name, s in _stack_constructors():
+        M = s.members
+        assert type(M) is np.ndarray and M.shape == (len(s), s.d, s.d), name
+        assert M.dtype == np.complex128 and M.flags.c_contiguous and not M.flags.writeable, name
+        with pytest.raises(ValueError):
+            M[0, 0, 0] = 0
+        seen.add(name)
+    assert len(seen) == 12
+
+
+def test_a_set_keeps_its_members_when_the_callers_array_changes():
+    arr = np.array(bell_set(3, [(0, 0), (1, 0)]).members)
+    s = UnitarySet(3, arr)
+    want = s.members.copy()
+    arr[0] = 7.0
+    assert np.array_equal(s.members, want) and not np.shares_memory(s.members, arr)
+
+
 def test_set_from_dict_named_types():
     s = set_from_dict({"d": 9, "type": "theorem1"})
     assert s.tag == theorem1_set(9).tag
