@@ -28,6 +28,10 @@ Two sound (not complete) provers:
 pair_operators stacks every W_p = U_i^dag U_j (i < j), in row blocks small
 enough for BLAS to stay on the calling thread; the constraint rows are
 hermitian_coords of hermitian_parts, which the witness search's stack holds too.
+A monomial set (every column of every member holds one nonzero entry, as in
+generalized-Bell and theorem2 sets) of d >= _MONOMIAL_MIN_D skips the dense
+products: W_p[a, b] = conj(v_i[a]) v_j[b] at a = rows_i^-1(rows_j(b)), and
+the same arithmetic writes the O(N^2 d) nonzero coordinates directly.
 
 verify_certificate runs every check against the set, block residuals by
 least squares (one solve per block, on the nonzero constraint columns and the
@@ -59,6 +63,11 @@ _SQRT2 = np.sqrt(2.0)
 # rows * d^2 of one pair_operators product: OpenBLAS 0.3.31 keeps a complex gemm with
 # m*n*k < 2^16 on the calling thread and wakes a helper that spins on for ~0.13 s from 2^16
 _PAIR_BLOCK_ELEMENTS = (1 << 16) - 1
+# d from which constraint_matrix writes a monomial set's rows by index arithmetic, whose ~30
+# numpy calls cost ~40 us at any small d.  Dense -> direct, detection included (best of
+# 25 x 200, one BLAS thread, 2-core Xeon): qutrit triple 24 -> 42 us, theorem2 d=13 44 -> 48,
+# d=15 52 -> 50, d=25 94 -> 52, d=61 1142 -> 79.
+_MONOMIAL_MIN_D = 15
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +191,87 @@ def hermitian_parts(W: np.ndarray) -> np.ndarray:
     return G.reshape((-1,) + W.shape[1:])
 
 
+def _monomial_form(M: np.ndarray):
+    """(rows, inverse rows, values), each (N, d), if every column of every member holds
+    one nonzero entry, else None: column b of member k holds values[k, b] at rows[k, b].
+
+    Exact, no tolerance: an entry is zero or it is not.  A validated member's
+    columns have unit norm and are orthogonal, so N d nonzero entries in all put
+    one in each column and one in each row, and each rows[k] is a permutation.
+    """
+    N, d, _ = M.shape
+    # an entry is nonzero when either of its two float64 flags is: read each flag pair as one uint16
+    nonzero = (M.view(np.float64) != 0).view(np.uint16).astype(bool)
+    if np.count_nonzero(nonzero) != N * d:
+        return None
+    flat = np.flatnonzero(nonzero)  # member k's entry of row r sits at position k d + r
+    inverse = (flat % d).reshape(N, d)
+    rows, values, k = np.empty_like(inverse), np.empty((N, d), dtype=np.complex128), np.arange(N)[:, None]
+    rows[k, inverse] = np.arange(d)
+    values[k, inverse] = M.reshape(-1)[flat].reshape(N, d)
+    return rows, inverse, values
+
+
+@lru_cache(maxsize=16)
+def _coordinate_table(d: int) -> np.ndarray:
+    """(d, d) read-only table of the Hermitian coordinate of entries (x, y) and (y, x):
+    x on the diagonal, sym(x, y) off it (skw(x, y) is the next coordinate)."""
+    iu, ju = triu_pairs(d)
+    T = np.empty((d, d), dtype=np.intp)
+    T[iu, ju] = T[ju, iu] = d + 2 * np.arange(len(iu))
+    T[np.diag_indices(d)] = np.arange(d)
+    T.flags.writeable = False
+    return T
+
+
+def _monomial_rows(rows: np.ndarray, inverse: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """constraint_matrix of a monomial set from its _monomial_form, in O(N^2 d).
+
+    Column b of W_p = U_i^dag U_j holds w = conj(v_i[a]) v_j[b] at row
+    a = rows_i^-1(rows_j(b)).  Every coordinate it touches gets the dense
+    path's arithmetic: H = (conj(W_yx) + W_xy)/2 and K = (conj(W_yx) - W_xy)/2i
+    at x <= y, with 0j for a missing partner, then the real part on the
+    diagonal and sqrt(2) times the real and imaginary parts off it.
+    """
+    N, d = rows.shape
+    i, j = triu_pairs(N)
+    p, b = np.arange(len(i))[:, None], np.arange(d)
+    a = inverse[i[:, None], rows[j]]
+    w = np.conj(values[i[:, None], a]) * values[j]
+    back = np.where(a[p, a] == b, w[p, a], 0j)  # W_p[b, a]: nonzero when the permutation swaps a and b
+    upper = a <= b
+    Wxy = np.where(upper, w, back)
+    G = np.empty((2,) + a.shape, dtype=np.complex128)
+    H, K = G  # the operations of hermitian_parts, on conj(W_yx) and W_xy
+    np.conj(np.where(upper, back, w), out=H)
+    np.subtract(H, Wxy, out=K)
+    np.divide(np.add(H, Wxy, out=H), 2, out=H)
+    np.divide(K, 2j, out=K)
+    diagonal = a == b
+    re = np.where(diagonal, 1.0, _SQRT2) * G.real
+    im = np.where(diagonal, re, _SQRT2 * G.imag)  # a diagonal entry writes its real part twice
+    col = _coordinate_table(d)[a, b]
+    A = np.zeros((len(i), 2, d * d))
+    h = np.arange(2)[:, None, None]
+    A[p, h, col] = re
+    A[p, h, col + ~diagonal] = im
+    return A.reshape(-1, d * d)
+
+
 def constraint_matrix(s: UnitarySet) -> np.ndarray:
     """Real constraint rows (Re and Im of M -> Tr(U_i M U_j^dag), i < j), interleaved.
 
     Tr(U_i M U_j^dag) = Tr(W^dag M) with W = U_i^dag U_j; on Hermitian M its
     real and imaginary parts are Tr(H M) and Tr(K M) for W's hermitian_parts.
     The (j, i) functionals are conjugates on Hermitian arguments and are dropped.
+    A monomial set of d >= _MONOMIAL_MIN_D gets its rows from _monomial_rows,
+    with no dense product: the same values wherever a product of member
+    entries is exact, and within a few ulps elsewhere (BLAS and numpy may
+    round a complex product differently).
     """
+    form = _monomial_form(s.members) if s.d >= _MONOMIAL_MIN_D and len(s) > 1 else None
+    if form is not None:
+        return _monomial_rows(*form)
     x = hermitian_coords(hermitian_parts(pair_operators(s)))
     return x.reshape(2, -1, s.d * s.d).swapaxes(0, 1).reshape(-1, s.d * s.d)
 

@@ -84,9 +84,15 @@ def weyl_columns(d: int, labels, phase=0):
 
 
 def weyl_stack(d: int, labels, phase=0) -> np.ndarray:
-    """(L, d, d) stack of the dense matrices w^phase U_mn, scattered from weyl_columns."""
+    """(L, d, d) stack of the dense matrices w^phase U_mn, scattered from weyl_columns.
+
+    The stack is allocated first, so a size numpy cannot hold raises before
+    the (L, d) columns are built.
+    """
+    d = check_dimension(d)
+    labels = np.array(labels, dtype=np.int64).reshape(-1, 2)
+    W = np.zeros((len(labels), d, d), dtype=np.complex128)
     rows, vals = weyl_columns(d, labels, phase)
-    W = np.zeros((len(rows), d, d), dtype=np.complex128)
     W[np.arange(len(rows))[:, None], rows, np.arange(d)] = vals
     return W
 

@@ -139,7 +139,7 @@ class Povm:
     """Rank-one elements m_k |phi_k><phi_k| on the measuring side.
 
     weights is the (K,) array of m_k, vectors the (K, d) array whose row k
-    is the unit vector phi_k.  lagrangian is the (a, b, c) of
+    is the unit vector phi_k; 1-D weights of another length are refused.  lagrangian is the (a, b, c) of
     gpauli.lagrangians whose stabilizer basis label_povm stored, else None;
     the gate and the simulation trust it only through _label_tie's checks.
     """
@@ -149,6 +149,8 @@ class Povm:
     lagrangian: tuple[int, int, int] | None = None
 
     def __post_init__(self):
+        if np.ndim(self.weights) == 1 and np.ndim(self.vectors) >= 1 and len(self.weights) != len(self.vectors):
+            raise ValueError(f"POVM has {len(self.weights)} weights but {len(self.vectors)} vectors")
         if self.lagrangian is not None:
             L = tuple(self.lagrangian) if isinstance(self.lagrangian, (tuple, list)) else ()
             if len(L) != 3 or not all(map(gpauli.is_integer, L)):

@@ -27,7 +27,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 DEFAULT_GAMMA = complex(np.exp(1j * np.pi / 4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitarySet:
     """An ordered set of d x d defining unitaries, optionally Pauli-tagged.
 
@@ -38,7 +38,7 @@ class UnitarySet:
     multiple of U_{tag[k]}.  Only bell_set, which builds the members from the
     labels, and transpose_set set it: a set built from members is untagged.
     The phases are irrelevant to every consumer (only index differences enter
-    the distinguishability machinery).
+    the distinguishability machinery).  Sets compare and hash by identity.
     """
 
     d: int
@@ -115,22 +115,15 @@ def theorem1_indices(d) -> tuple:
     if d < 4:
         raise ValueError(f"family needs dimension >= 4, got {d}")
     s = math.isqrt(d - 1) + 1  # ceil(sqrt(d))
-    a_group: list[int] = []
-    for m in [*range(s), *[k * s - 1 for k in range(2, s)], d - 1]:
-        m %= d
-        if m not in a_group:
-            a_group.append(m)
-    b_group: list[int] = []
-    for m in [*[k * s - 1 for k in range(1, s)], d - 1]:
-        m %= d
-        if m not in b_group:
-            b_group.append(m)
+    # dict keys keep first occurrences in order, with no quadratic list scan
+    a_group = dict.fromkeys(m % d for m in [*range(s), *[k * s - 1 for k in range(2, s)], d - 1])
+    b_group = dict.fromkeys(m % d for m in [*[k * s - 1 for k in range(1, s)], d - 1])
     indices = [PauliIndex(m, 0) for m in a_group] + [PauliIndex(m, 1) for m in b_group]
     if d != s * (s - 1):
         pad = 0
         while len(indices) < 3 * s - 1:
             if pad not in a_group:
-                a_group.append(pad)
+                a_group[pad] = None
                 indices.append(PauliIndex(pad, 0))
             pad += 1
     return tuple(indices)

@@ -18,9 +18,12 @@ from entdis.certify import (
     RANK_RTOL,
     BlockCertificate,
     CoverCertificate,
+    _MONOMIAL_MIN_D,
     _SCREEN_TOL,
     _SQRT2,
     _membership_residuals,
+    _monomial_form,
+    _monomial_rows,
     _projection_residuals,
     _screen_losses,
     block_functionals,
@@ -32,6 +35,7 @@ from entdis.certify import (
     fourier_cover_prover,
     hermitian_coords,
     hermitian_feasible_subspace,
+    hermitian_parts,
     pair_operators,
     scan_blocks,
     triu_pairs,
@@ -40,6 +44,7 @@ from entdis.certify import (
     verify_certificate_detailed,
 )
 from entdis.cli import main as cli_main
+from entdis.gpauli import weyl_stack
 from entdis.search import certify_direction, decide, witness_search
 from entdis.serialize import canonical_json, matrix_to_json, sha256_hex
 from entdis.states import (
@@ -226,6 +231,118 @@ def test_pair_operators_equal_per_pair_loop():
         assert np.array_equal(W, reference_pair_operators(s))
     with pytest.raises(ValueError):
         pair_operators(UnitarySet(2, (I2,)))
+
+
+# Monomial sets: constraint_matrix writes their rows by index arithmetic from
+# d = _MONOMIAL_MIN_D on; the reference is the dense product it replaces.
+
+
+def dense_constraint_matrix(s):
+    x = hermitian_coords(hermitian_parts(pair_operators(s)))
+    return x.reshape(2, -1, s.d * s.d).swapaxes(0, 1).reshape(-1, s.d * s.d)
+
+
+def direct_constraint_matrix(s):
+    form = _monomial_form(s.members)
+    assert form is not None
+    return _monomial_rows(*form)
+
+
+def test_monomial_rows_equal_the_dense_product_on_theorem2(monkeypatch):
+    # every product of theorem2's default members is exact, so the values are equal
+    cases = [t for d in [*range(7, 27, 2), 61] for s in [theorem2_set(Theorem2Spec(d))] for t in (s, transpose_set(s))]
+    refs = [dense_constraint_matrix(t) for t in cases]
+
+    def refuse(s):
+        raise AssertionError("constraint_matrix took the dense product")
+
+    monkeypatch.setattr(entdis.certify, "pair_operators", refuse)
+    for t, ref in zip(cases, refs):
+        A = constraint_matrix(t) if t.d >= _MONOMIAL_MIN_D else direct_constraint_matrix(t)
+        assert A.shape == ref.shape == (12, t.d * t.d)
+        assert np.array_equal(A, ref)
+
+
+QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def quarter_turn_monomial_set(rng, d, n):
+    """n random permutation matrices times random quarter-turn phases, each kept when
+    trace-orthogonal to those before it; every entry and product is exact."""
+    members = []
+    while len(members) < n:
+        U = np.zeros((d, d), dtype=complex)
+        U[rng.permutation(d), np.arange(d)] = QUARTER_TURNS[rng.integers(0, 4, d)]
+        if all(np.vdot(V, U) == 0 for V in members):
+            members.append(U)
+    return UnitarySet(d, members)
+
+
+def phased_weyl_monomial_set(rng, d, n):
+    """n phased Weyl members times one random monomial unitary: generic unit phases."""
+    labels = [divmod(int(k), d) for k in rng.choice(d * d, n, replace=False)]
+    Q = np.zeros((d, d), dtype=complex)
+    Q[rng.permutation(d), np.arange(d)] = np.exp(2j * np.pi * rng.random(d))
+    return UnitarySet(d, np.exp(2j * np.pi * rng.random(n))[:, None, None] * weyl_stack(d, labels) @ Q)
+
+
+def cycle_counts(s):
+    """(fixed points, 2-cycles) over the pair operators W_p of a monomial set."""
+    nz = pair_operators(s) != 0
+    fixed = np.count_nonzero(np.diagonal(nz, axis1=1, axis2=2))
+    return fixed, (np.count_nonzero(nz & np.swapaxes(nz, 1, 2)) - fixed) // 2
+
+
+def random_monomial_cases(make, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        d = int(rng.integers(2, 41))
+        yield make(rng, d, min(int(rng.integers(2, 7)), d))
+
+
+def test_monomial_rows_equal_the_dense_product_on_random_permutations():
+    fixed = swaps = 0
+    for s in random_monomial_cases(quarter_turn_monomial_set, 11):
+        assert np.array_equal(direct_constraint_matrix(s), dense_constraint_matrix(s))
+        f, t = cycle_counts(s)
+        fixed, swaps = fixed + f, swaps + t
+    assert fixed and swaps  # both cases of a missing or present partner W_yx ran
+
+
+def test_monomial_rows_round_generic_phases_like_the_dense_product():
+    # BLAS and numpy may round a product of two generic phases differently: a few ulps apart
+    for s in random_monomial_cases(phased_weyl_monomial_set, 12):
+        assert np.max(np.abs(direct_constraint_matrix(s) - dense_constraint_matrix(s))) <= 4.5e-16
+    for d in (*range(4, 21), 64):
+        s = theorem1_set(d)
+        assert np.max(np.abs(direct_constraint_matrix(s) - dense_constraint_matrix(s))) <= 4.5e-16
+
+
+def haar_rotated(s, rng):
+    """V U_k V^dag for one Haar V: unitary and trace-orthogonal, with dense members."""
+    V, _ = np.linalg.qr(rng.standard_normal((s.d, s.d)) + 1j * rng.standard_normal((s.d, s.d)))
+    return UnitarySet(s.d, V @ s.members @ V.conj().T)
+
+
+def test_constraint_matrix_keeps_the_dense_product_for_other_sets():
+    s = theorem2_set(Theorem2Spec(_MONOMIAL_MIN_D + 2))
+    M = s.members.copy()
+    M[1, 0, 0] = 1e-300  # one more nonzero entry: not monomial, with no tolerance
+    tiny = UnitarySet(s.d, M)
+    assert _monomial_form(tiny.members) is None and _monomial_form(s.members) is not None
+    rng = np.random.default_rng(13)
+    for t in [tiny] + [haar_rotated(theorem2_set(Theorem2Spec(d)), rng) for d in (7, _MONOMIAL_MIN_D + 2)]:
+        assert constraint_matrix(t).tobytes() == dense_constraint_matrix(t).tobytes()
+
+
+def test_feasible_subspace_holds_a_read_only_matrix():
+    rng = np.random.default_rng(14)
+    rotated = haar_rotated(theorem2_set(Theorem2Spec(17)), rng)
+    for s in (theorem2_set(Theorem2Spec(7)), theorem2_set(Theorem2Spec(61)), rotated):
+        A = hermitian_feasible_subspace(s).constraints
+        assert not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 1.0
 
 
 def test_feasible_subspace_identity_z():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,3 +503,38 @@ def test_nonpositive_success_tol_is_refused_before_any_work(tmp_path, monkeypatc
         assert run([command, sf, "--tol-success", value, "--output", rf]) == 2
         assert f"success_tol must be > 0, got {float(value)}" in capsys.readouterr().err
         assert not rf.exists()
+
+
+HUGE_THEOREM1 = """
+import sys
+from entdis import theorem1_set
+from entdis.cli import main
+try:
+    theorem1_set(10**9)
+except ValueError as exc:
+    print("refused:", exc, file=sys.stderr)
+else:
+    sys.exit("theorem1_set(10**9) returned")
+sys.exit(10 + main(["decide", sys.argv[1]]))
+"""
+
+
+def test_an_impossible_weyl_stack_is_refused_before_memory_is_written(tmp_path):
+    # theorem1 at d = 10^9 asks for a (94868, d, d) stack, beyond numpy's largest array, so it is
+    # refused at once, before any (L, d) column table; under a 2 GB address-space limit a
+    # regression that writes gigabytes first fails fast with MemoryError instead
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    set_file = tmp_path / "huge.json"
+    set_file.write_text(json.dumps({"d": 1000000000, "type": "theorem1"}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_THEOREM1, str(set_file)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert proc.returncode == 12, proc.stderr
+    assert "refused:" in proc.stderr and "Unable to allocate" not in proc.stderr

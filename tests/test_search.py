@@ -555,6 +555,13 @@ def test_simulate_refuses_vectors_of_another_length():
             simulate_protocol(s, povm, 100, seed=0)
 
 
+def test_povm_refuses_weights_and_vectors_of_different_counts():
+    with pytest.raises(ValueError, match="POVM has 2 weights but 3 vectors"):
+        simulate_protocol(bell_set(3, [(0, 0), (1, 0)]), Povm(np.ones(2), np.eye(3, dtype=complex)), 10)
+    with pytest.raises(ValueError, match="POVM has 4 weights but 3 vectors"):
+        Povm(np.ones(4), np.eye(3, dtype=complex))
+
+
 def test_simulate_refuses_a_bad_seed():
     s = bell_set(2, [(0, 0), (0, 1)])
     good = orbit_povm(2, np.array([1, 0], dtype=complex))

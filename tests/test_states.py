@@ -152,6 +152,13 @@ def test_theorem2_rejects_nonunit_phase():
         Theorem2Spec(7, gamma=0.5)
 
 
+def test_sets_compare_and_hash_by_identity():
+    s = bell_set(3, [(0, 0), (1, 0)])
+    t = transpose_set(s)
+    assert s == s and s != t and s != bell_set(3, [(0, 0), (1, 0)])
+    assert {s: "s", t: "t"}[s] == "s" and hash(s) == hash(s)
+
+
 def test_transpose_set_symmetric_pair_unchanged():
     s = bell_set(2, [(0, 0), (0, 1)])
     t = transpose_set(s)
