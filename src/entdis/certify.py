@@ -180,15 +180,20 @@ def hermitian_coords(M: np.ndarray) -> np.ndarray:
     return x
 
 
-def hermitian_parts(W: np.ndarray) -> np.ndarray:
-    """(2P, d, d) stack of H_p = (W_p^dag + W_p)/2 for p < P, then K_p = (W_p^dag - W_p)/2i."""
+def _hermitian_halves(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """[(conj(X) + W)/2, (conj(X) - W)/2i] for X the entries of W's transpose: the one
+    arithmetic of hermitian_parts and _monomial_rows, so their values agree bitwise."""
     G = np.empty((2,) + W.shape, dtype=np.complex128)
     H, K = G  # contiguous halves: a ufunc on a strided view allocates iterator buffers
-    H[...] = np.swapaxes(W, 1, 2)
-    K[...] = np.conj(H, out=H)
+    H[...] = X
+    np.divide(np.subtract(np.conj(H, out=H), W, out=K), 2j, out=K)
     np.divide(np.add(H, W, out=H), 2, out=H)
-    np.divide(np.subtract(K, W, out=K), 2j, out=K)
-    return G.reshape((-1,) + W.shape[1:])
+    return G
+
+
+def hermitian_parts(W: np.ndarray) -> np.ndarray:
+    """(2P, d, d) stack of H_p = (W_p^dag + W_p)/2 for p < P, then K_p = (W_p^dag - W_p)/2i."""
+    return _hermitian_halves(np.swapaxes(W, 1, 2), W).reshape((-1,) + W.shape[1:])
 
 
 def _monomial_form(M: np.ndarray):
@@ -228,10 +233,9 @@ def _monomial_rows(rows: np.ndarray, inverse: np.ndarray, values: np.ndarray) ->
     """constraint_matrix of a monomial set from its _monomial_form, in O(N^2 d).
 
     Column b of W_p = U_i^dag U_j holds w = conj(v_i[a]) v_j[b] at row
-    a = rows_i^-1(rows_j(b)).  Every coordinate it touches gets the dense
-    path's arithmetic: H = (conj(W_yx) + W_xy)/2 and K = (conj(W_yx) - W_xy)/2i
-    at x <= y, with 0j for a missing partner, then the real part on the
-    diagonal and sqrt(2) times the real and imaginary parts off it.
+    a = rows_i^-1(rows_j(b)).  Each coordinate it touches gets the dense
+    path's _hermitian_halves at (W_yx, W_xy), x <= y, 0j for a missing partner,
+    then the real part on the diagonal and sqrt(2) times both parts off it.
     """
     N, d = rows.shape
     i, j = triu_pairs(N)
@@ -240,13 +244,7 @@ def _monomial_rows(rows: np.ndarray, inverse: np.ndarray, values: np.ndarray) ->
     w = np.conj(values[i[:, None], a]) * values[j]
     back = np.where(a[p, a] == b, w[p, a], 0j)  # W_p[b, a]: nonzero when the permutation swaps a and b
     upper = a <= b
-    Wxy = np.where(upper, w, back)
-    G = np.empty((2,) + a.shape, dtype=np.complex128)
-    H, K = G  # the operations of hermitian_parts, on conj(W_yx) and W_xy
-    np.conj(np.where(upper, back, w), out=H)
-    np.subtract(H, Wxy, out=K)
-    np.divide(np.add(H, Wxy, out=H), 2, out=H)
-    np.divide(K, 2j, out=K)
+    G = _hermitian_halves(np.where(upper, back, w), np.where(upper, w, back))  # at W_yx and W_xy
     diagonal = a == b
     re = np.where(diagonal, 1.0, _SQRT2) * G.real
     im = np.where(diagonal, re, _SQRT2 * G.imag)  # a diagonal entry writes its real part twice

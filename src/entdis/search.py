@@ -29,11 +29,11 @@ forced-block residuals come from a projection onto the row space of the
 constraint matrix) on every set but a pair, where neither can fire;
 run_protocol runs search, POVM completion and the protocol simulation on
 whole arrays.  Completion takes the d-element stabilizer basis of a
-Lagrangian L that avoids a tagged set's label differences, or else the
-Pauli orbit of its witness from label arithmetic, or NNLS over an untagged
-set's pooled witnesses (_nnls).  A label basis is gated and simulated by
-label arithmetic (_label_tie: L misses the differences and its generators
-fix every stored vector up to phase), so the receiver's states are
+Lagrangian L that avoids a tagged set's label differences (_label_basis),
+or else the Pauli orbit of its witness from label arithmetic, or NNLS over
+an untagged set's pooled witnesses (_nnls).  A label basis is gated and
+simulated by label arithmetic (_label_tie: L misses the differences and
+the stored vectors equal L's basis exactly), so the receiver's states are
 orthogonal by label_povm's argument and the success probability is exactly
 1.  Every other POVM is checked on one stack of the receiver's states
 U_i conj(phi_k), read by the orthogonality gate and by one answer table.
@@ -138,10 +138,10 @@ class Witness:
 class Povm:
     """Rank-one elements m_k |phi_k><phi_k| on the measuring side.
 
-    weights is the (K,) array of m_k, vectors the (K, d) array whose row k
-    is the unit vector phi_k; 1-D weights of another length are refused.  lagrangian is the (a, b, c) of
-    gpauli.lagrangians whose stabilizer basis label_povm stored, else None;
-    the gate and the simulation trust it only through _label_tie's checks.
+    weights (float64 m_k; complex ones and a 1-D count other than the
+    vectors' are refused) and vectors (complex128, row k the unit vector
+    phi_k) are stored as arrays, copied only to change type.  lagrangian is
+    the (a, b, c) of label_povm's basis, else None, trusted via _label_tie.
     """
 
     weights: np.ndarray
@@ -149,6 +149,10 @@ class Povm:
     lagrangian: tuple[int, int, int] | None = None
 
     def __post_init__(self):
+        if np.iscomplexobj(self.weights):
+            raise ValueError("POVM weights must be real")
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=np.complex128))
         if np.ndim(self.weights) == 1 and np.ndim(self.vectors) >= 1 and len(self.weights) != len(self.vectors):
             raise ValueError(f"POVM has {len(self.weights)} weights but {len(self.vectors)} vectors")
         if self.lagrangian is not None:
@@ -365,20 +369,44 @@ def orbit_povm(d: int, alpha: np.ndarray) -> Povm:
 
 @lru_cache(maxsize=256)
 def _lagrangian_gathers(d: int, lagrangian) -> tuple | None:
-    """Read-only (labels, rows, vals) of a Lagrangian L = (a, b, c) of gpauli.lagrangians(d), else None.
+    """Read-only (labels, cycles) of a Lagrangian L = (a, b, c) of gpauli.lagrangians(d), else None.
 
     labels are the flat labels n*d + m of L's d elements (k a, k b + l c),
-    k < c, l < a, in the order of difference_table's flat view; rows and
-    vals are the weyl_columns of U_00 and of L's generators (a, b), (0, c).
+    k < c, l < a, in the order of difference_table's flat view; row r0 of
+    cycles, r0 < gcd(b, c), is the orbit r0 + t b mod c of r -> r + b on Z_c.
     """
     if lagrangian not in lagrangians(d):
         return None
     a, b, c = lagrangian
     k, l = np.divmod(np.arange(d), a)
-    gathers = ((k * b + l * c) % d * d + k * a, *weyl_columns(d, [(0, 0), (a, b), (0, c)]))
+    g = np.gcd(b, c)
+    gathers = ((k * b + l * c) % d * d + k * a, (np.arange(g)[:, None] + np.arange(c // g) * b) % c)
     for x in gathers:
         x.flags.writeable = False
     return gathers
+
+
+@lru_cache(maxsize=8)
+def _label_basis(d: int, lagrangian) -> np.ndarray:
+    """Read-only (d, d) conjugates phi_k of the common eigenvectors of L = (a, b, c)'s generators.
+
+    With j = r + c q, U_(0,c) steps q; U_(a,b) multiplies by w^(a r) and
+    moves r along its cycle r_t (t < l), carrying into q when r_t + b >= c.
+    Row (s, r0, m) conjugates v[r_t + c q] = z^(l E_t - t (E_l + d m) - l c s q) / sqrt(l a),
+    z = exp(2 pi i / (d l)), E_t = sum_(u<t) (a r_u + c s [r_u + b >= c]): eigenvalues w^(c s), z^(E_l + d m).
+    """
+    a, b, c = lagrangian
+    cycles = _lagrangian_gathers(d, lagrangian)[1]
+    g, l = cycles.shape
+    s, r0, m, t, q = np.ix_(range(a), range(g), range(l), range(l), range(a))
+    r = cycles[:, None, :, None]
+    steps = a * r + c * s * (r + b >= c)
+    E = np.cumsum(steps, axis=3)  # E_(t+1)
+    e = (l * (E - steps) - t * (E[..., -1:, :] + d * m) - l * c * s * q) % (d * l)
+    V = np.zeros((d, d), dtype=np.complex128)  # V[j, k] = phi_k[j]
+    V.reshape(d, a, g, l)[r + c * q, s, r0, m] = np.exp(-2j * np.pi / (d * l) * e) / np.sqrt(l * a)
+    V.flags.writeable = False
+    return V.T  # column-major rows: povm_identity_residual's einsum runs 1.3x (d=20) to 1.8x (d=64) faster
 
 
 def label_povm(d: int, tag) -> Povm | None:
@@ -389,37 +417,14 @@ def label_povm(d: int, tag) -> Povm | None:
     of {U_t : t in L} all witness the set: for s not in L some t in L has
     <s, t> != 0 (L is its own symplectic complement), and conjugating by U_t
     multiplies <phi_k|U_s|phi_k> by a nontrivial root of unity, so the value
-    is 0.  They come from eigh of a Hermitian combination of L's generators
-    with non-real coefficients (with real ones, a cyclic L gives degenerate
-    pairs of 2cos eigenvalues); the elements are their Alice-side
-    conjugates, with weight 1 each, and the POVM records L as (a, b, c) for
-    _label_tie.
+    is 0.  The elements are _label_basis(d, L), built only for the L
+    returned, with weight 1 each; the POVM records L for _label_tie.
     """
     table = gpauli.difference_table(d, tag).reshape(-1)
     for L in lagrangians(d):
         if not table[_lagrangian_gathers(d, L)[0]].any():
-            a, b, c = L
-            g1, g2 = weyl_stack(d, [(a % d, b), (0, c % d)])
-            h = np.exp(0.21j) * g1 + np.sqrt(2) * np.exp(0.37j) * g2
-            return Povm(np.ones(d), np.conj(np.linalg.eigh(h + np.conj(h.T))[1].T), L)
+            return Povm(np.ones(d), _label_basis(d, L), L)
     return None
-
-
-def _stabilized(povm: Povm, d: int) -> bool:
-    """Vector part of the label tie: L's generators g fix every b_k = conj(phi_k) up to phase.
-
-    |<b_k|U_g b_k>| > (1 - _MERGE_TOL) <b_k|b_k>, the overlaps
-    sum_j conj(b_k[rows[g, j]]) vals[g, j] b_k[j] (U_00 gives the norm) in
-    one batched matrix-vector product, O(K d), too thin to wake a BLAS
-    helper thread.  By Cauchy-Schwarz only a vector within rounding of an
-    eigenvector of each U_g passes, and L's common eigenspaces are lines,
-    so each b_k is one of L's stabilizer states.  povm.lagrangian must be a
-    Lagrangian of Z_d^2.
-    """
-    _, rows, vals = _lagrangian_gathers(d, povm.lagrangian)
-    X = povm.vectors[:, rows] * vals  # X[k, g, j] = conj(b_k[rows[g, j]]) vals[g, j]
-    ov = np.abs(np.matmul(X, np.conj(povm.vectors)[:, :, None])[..., 0])
-    return bool(np.all(ov[:, 1:] > (1.0 - _MERGE_TOL) * ov[:, :1]))
 
 
 def _label_tie(s: UnitarySet, povm: Povm) -> bool:
@@ -427,16 +432,15 @@ def _label_tie(s: UnitarySet, povm: Povm) -> bool:
 
     Integer part: povm.lagrangian is a Lagrangian L of Z_d^2 that misses s's
     label differences (difference_table at L's elements; an untagged s never
-    ties).  Vector part: _stabilized.  Each b_k is then a common eigenvector
-    of {U_t : t in L}, so by label_povm's argument the receiver's states
-    U_i b_k of every outcome are pairwise orthogonal.
+    ties).  Vector part: the stored vectors equal _label_basis(d, L) exactly.
+    Each b_k = conj(phi_k) is then a common eigenvector of {U_t : t in L},
+    so by label_povm's argument the receiver's states U_i b_k of every
+    outcome are pairwise orthogonal.
     """
-    if povm.lagrangian is None or s.tag is None:
-        return False
-    gathers = _lagrangian_gathers(s.d, povm.lagrangian)
+    gathers = None if s.tag is None else _lagrangian_gathers(s.d, povm.lagrangian)  # also None for no L
     if gathers is None or gpauli.difference_table(s.d, s.tag).reshape(-1)[gathers[0]].any():
         return False
-    return _stabilized(povm, s.d)
+    return np.array_equal(povm.vectors, _label_basis(s.d, povm.lagrangian))
 
 
 def povm_identity_residual(p: Povm, d: int) -> float:
@@ -512,20 +516,17 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
     either), and nonnegative least squares (_nnls) looks for weights
     resolving the identity; one that stops at its iteration cap gives None.
 
-    Every POVM must resolve the identity.  A label basis passes the
-    orthogonality gate on _stabilized (label_povm has just checked its L
-    against these differences); any other POVM, or a label basis that fails
-    it, needs povm_orthogonality_residual below ELEMENT_ORTHO_TOL.
+    Every POVM must resolve the identity.  A POVM that ties to s
+    (_label_tie, the same exact check the simulation makes) passes the
+    orthogonality gate by label arithmetic; any other POVM needs
+    povm_orthogonality_residual below ELEMENT_ORTHO_TOL.
     """
     if not w.residual < success_tol:  # a NaN residual fails too
         raise ValueError(
             f"witness residual {w.residual:.3e} is not below success tolerance {success_tol:.1e}"
         )
-    exact = False
     if s.tag is not None:
-        povm = label_povm(s.d, s.tag)
-        exact = povm is not None and _stabilized(povm, s.d)  # label_povm has just checked L against s.tag
-        povm = povm or orbit_povm(s.d, w.alpha)
+        povm = label_povm(s.d, s.tag) or orbit_povm(s.d, w.alpha)
     else:
         pool = np.array([w.alpha] + [alpha for res, alpha in extra_witnesses if res < success_tol])
         twins = np.abs(np.einsum("id,jd->ij", np.conj(pool), pool)) > 1.0 - _MERGE_TOL
@@ -540,7 +541,7 @@ def povm_completion(s: UnitarySet, w: Witness, extra_witnesses=(), success_tol: 
         povm = Povm(weights[keep], phis[keep])
     if not povm_identity_residual(povm, s.d) < IDENTITY_TOL:
         return None
-    if not (exact or povm_orthogonality_residual(povm, s) < ELEMENT_ORTHO_TOL):
+    if not (_label_tie(s, povm) or povm_orthogonality_residual(povm, s) < ELEMENT_ORTHO_TOL):
         return None
     return povm
 

@@ -8,7 +8,7 @@ import pytest
 
 from entdis import _kernels as K
 from entdis import certify, search
-from entdis.gpauli import all_indices, lagrangians, phase_table, to_matrix, transpose_index
+from entdis.gpauli import all_indices, lagrangians, phase_table, to_matrix, transpose_index, weyl_stack
 from entdis.search import (
     _MERGE_TOL,
     Decision,
@@ -553,6 +553,20 @@ def test_simulate_refuses_vectors_of_another_length():
         povm = Povm(np.ones(len(vectors)), vectors)
         with pytest.raises(ValueError, match=re.escape(f"must have the set's length 3, got shape {np.shape(vectors)}")):
             simulate_protocol(s, povm, 100, seed=0)
+
+
+def test_povm_stores_arrays_of_its_weights_and_vectors():
+    s = bell_set(3, [(0, 0), (1, 0), (0, 1)])
+    listed = Povm([1, 1, 1], np.eye(3, dtype=complex))
+    assert listed.weights.dtype == np.float64 and listed.vectors.dtype == np.complex128
+    assert simulate_protocol(s, listed, 10) == simulate_protocol(s, Povm(np.ones(3), np.eye(3, dtype=complex)), 10)
+    assert povm_identity_residual(Povm([1, 1, 1], np.eye(3)), 3) == 0.0
+    weights, vectors = np.ones(3), np.eye(3, dtype=complex)
+    kept = Povm(weights, vectors)
+    assert kept.weights is weights and kept.vectors is vectors
+    for complex_weights in ([1j, 1, 1], np.ones(3, dtype=complex)):
+        with pytest.raises(ValueError, match="POVM weights must be real"):
+            Povm(complex_weights, vectors)
 
 
 def test_povm_refuses_weights_and_vectors_of_different_counts():
@@ -1131,6 +1145,69 @@ def test_a_label_basis_on_another_set_gets_the_numeric_table(monkeypatch):
     assert len(tables) == 2
     # a triple that is no Lagrangian of Z_20^2 never ties
     assert not search._label_tie(s, replace(p, lagrangian=(1, 0, 10)))
+
+
+@pytest.mark.parametrize("d", range(2, 41))
+def test_label_basis_is_a_read_only_common_eigenbasis_of_each_lagrangian(d):
+    for a, b, c in lagrangians(d):
+        V = search._label_basis(d, (a, b, c))
+        assert V is search._label_basis(d, (a, b, c)) and not V.flags.writeable
+        assert V.shape == (d, d) and np.max(np.abs(V @ np.conj(V.T) - np.eye(d))) <= 1e-13, (a, b, c)
+        B = np.conj(V)  # the receiving-side vectors b_k
+        for g in weyl_stack(d, [(a, b), (0, c)]):
+            gB = B @ g.T  # row k is U_g b_k
+            eigenvalues = np.einsum("kd,kd->k", V, gB)
+            assert np.max(np.abs(gB - eigenvalues[:, None] * B)) <= 1e-13, (a, b, c)
+
+
+@pytest.mark.parametrize("d, tag", LABEL_PROTOCOL)
+def test_label_protocols_decide_without_eigh(monkeypatch, d, tag):
+    want = canonical_json(decision_to_dict(decide(bell_set(d, tag))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh ran")
+
+    search._label_basis.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    dec = decide(bell_set(d, tag))
+    for v in (dec.a_to_b, dec.b_to_a):
+        assert (v.kind, v.povm_size, v.simulated_success) == ("distinguishable", d, 1.0)
+    assert canonical_json(decision_to_dict(dec)) == want
+
+
+def test_a_rephased_label_basis_passes_the_numeric_gate_but_does_not_tie(monkeypatch):
+    s = bell_set(20, [(0, 0), (1, 1)])
+    p = label_povm(s.d, s.tag)
+    V = p.vectors.copy()
+    V[3] *= np.exp(0.7j)  # the same rank-one elements, so the same measurement
+    rephased = Povm(p.weights, V, p.lagrangian)
+    assert povm_identity_residual(rephased, s.d) < IDENTITY_TOL
+    assert povm_orthogonality_residual(rephased, s) < ELEMENT_ORTHO_TOL
+    assert search._label_tie(s, p) and not search._label_tie(s, rephased)
+    tables = []
+    real = search._answer_table
+    monkeypatch.setattr(search, "_answer_table", lambda *a: tables.append(a) or real(*a))
+    assert _success_probability(s, p) == 1.0 and not tables
+    assert _success_probability(s, rephased) >= 1 - 1e-12 and len(tables) == 1
+    monkeypatch.setattr(search, "label_povm", lambda d, tag: rephased)
+    assert povm_completion(s, witness_search(s)) is rephased
+
+
+def test_label_povm_builds_only_the_basis_it_returns():
+    rng = np.random.default_rng(29)
+    later = 0
+    for _ in range(60):
+        d = int(rng.integers(2, 13))
+        k = rng.choice(d * d, size=int(rng.integers(2, min(d * d, 5) + 1)), replace=False)
+        tag = [divmod(int(x), d) for x in k]
+        search._label_basis.cache_clear()
+        p = label_povm(d, tag)
+        info = search._label_basis.cache_info()
+        assert (info.misses, info.currsize) == ((0, 0) if p is None else (1, 1)), (d, tag)
+        if p is not None:
+            assert p.vectors is search._label_basis(d, p.lagrangian)
+            later += p.lagrangian != lagrangians(d)[0]
+    assert later > 10
 
 
 def test_harvest_grows_only_for_untagged_sets_when_completion_fails(monkeypatch):
